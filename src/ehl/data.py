@@ -196,15 +196,11 @@ def samples_to_csv(samples: SampleSet) -> str:
     return buf.getvalue()
 
 
-def split_indices(
-    n: int, fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partition range(n) into a size-floor(n * fraction) estimation part and
-    its complement, drawn without replacement.
+def _train_size(n: int, fraction: float) -> int:
+    """Size floor(n * fraction) of a split's estimation part.
 
-    Both index arrays come back sorted. Raises DegenerateSplitError when
-    either part would be empty. Consumes one permutation from rng, so
-    repeated calls on the same generator give fresh splits.
+    Raises InputError when n or fraction is out of range, and
+    DegenerateSplitError when either part would be empty.
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
@@ -216,6 +212,20 @@ def split_indices(
         raise DegenerateSplitError(
             f"split of n={n} at fraction={fraction} leaves an empty part (train size {k})"
         )
+    return k
+
+
+def split_indices(
+    n: int, fraction: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition range(n) into a size-floor(n * fraction) estimation part and
+    its complement, drawn without replacement.
+
+    Both index arrays come back sorted. Raises DegenerateSplitError when
+    either part would be empty. Consumes one permutation from rng, so
+    repeated calls on the same generator give fresh splits.
+    """
+    k = _train_size(n, fraction)
     perm = rng.permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import SampleSet, split_indices
+from .data import SampleSet, _train_size, split_indices
 from .errors import BoundaryForecastError, ExactSizeError, InputError
 from .isotonic import (
     _insert_merged,
@@ -280,8 +280,8 @@ def split_evalue(
     pos[order] = np.arange(n)
     logp = np.log(p)
     log1mp = np.log1p(-p)
-    # validate the split geometry once, with the same rule used per replicate
-    split_indices(n, s, np.random.default_rng(0))
+    # validate the split geometry once, with the rule split_indices applies
+    _train_size(n, s)
     per_split = np.empty(B)
 
     def run(lo: int, hi: int) -> None:

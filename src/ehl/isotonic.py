@@ -10,8 +10,21 @@ value are merged into one knot first, so fitted values are constant on ties.
 
 Block arithmetic is exact: weights and outcome sums are integers, and the
 violator comparison is done by cross-multiplication, so the block structure
-never depends on floating-point rounding. Fitted block values are the pooled
-outcome means, computed once per block.
+never depends on floating-point rounding. Products are at most n^2 for n
+observations, below 2^63 while n < 3e9, so int64 cannot overflow. Fitted
+block values are the pooled outcome means, computed once per block.
+
+Pooling runs in two phases. Vectorized passes first pool every maximal run
+of adjacent blocks whose means do not increase, all at once; they stop when
+no violator is left, when a few dozen blocks remain, or when a pass fails to
+halve the block count (as under a rising staircase that ends in one heavy
+block, which loses one block per pass). The classic stack algorithm then
+finishes on the surviving blocks. The result is exact, not approximate:
+pooling adjacent violators in any order reaches the same unique isotonic
+solution (Best & Chakravarti 1990; de Leeuw, Hornik & Mair 2009), so every
+block has the same integer sum and count, hence the same float mean, as
+under the stack algorithm alone. The work is O(m) for m knots because the
+passes shrink the block count geometrically.
 
 The out-of-sample value at a new point is defined through two augmented
 fits, one with an artificial success and one with an artificial failure
@@ -36,43 +49,64 @@ import numpy as np
 from .errors import InputError
 
 
-def _pool_values_py(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    m = w.shape[0]
-    bw = np.empty(m, np.int64)
-    bs = np.empty(m, np.int64)
-    bk = np.empty(m, np.int64)
-    top = 0
-    for i in range(m):
-        cw = w[i]
-        cs = s[i]
-        ck = 1
-        # merge while the previous block mean is >= the current one;
-        # integer cross-multiplication keeps the comparison exact
-        while top > 0 and bs[top - 1] * cw >= cs * bw[top - 1]:
-            top -= 1
-            cw += bw[top]
-            cs += bs[top]
-            ck += bk[top]
-        bw[top] = cw
-        bs[top] = cs
-        bk[top] = ck
-        top += 1
-    out = np.empty(m, np.float64)
-    pos = 0
-    for b in range(top):
-        v = bs[b] / bw[b]
-        for _ in range(bk[b]):
-            out[pos] = v
-            pos += 1
-    return out
+# Below this many blocks the stack algorithm costs less than one more
+# vectorized pass, and below this many knots building the output in Python
+# costs less than np.repeat: numpy calls carry a fixed overhead.
+_STACK_BLOCKS = 32
 
 
-try:  # optional accelerator; the fallback is semantically identical
-    from numba import njit
+def _stack_pool(
+    ws: list[int], ss: list[int], ks: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The stack algorithm on blocks given as Python ints (counts, outcome
+    sums, knots per block): pools each block into its left neighbours while
+    their mean is not below its own. Returns the pooled blocks."""
+    bw: list[int] = []
+    bs: list[int] = []
+    bk: list[int] = []
+    for cw, cs, ck in zip(ws, ss, ks):
+        while bw and bs[-1] * cw >= cs * bw[-1]:
+            cw += bw.pop()
+            cs += bs.pop()
+            ck += bk.pop()
+        bw.append(cw)
+        bs.append(cs)
+        bk.append(ck)
+    return bw, bs, bk
 
-    _pool_values = njit(cache=True)(_pool_values_py)
-except ImportError:  # pragma: no cover
-    _pool_values = _pool_values_py
+
+def _pool_values(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Pooled block mean at each knot, given per-knot counts w and outcome
+    sums s (int64, in knot order)."""
+    bw = np.asarray(w, dtype=np.int64)
+    bs = np.asarray(s, dtype=np.int64)
+    m = bw.shape[0]
+    if m <= _STACK_BLOCKS:
+        out: list[float] = []
+        # for sums below 2^53, int / int rounds exactly as numpy int64 division
+        for cw, cs, ck in zip(*_stack_pool(bw.tolist(), bs.tolist(), [1] * m)):
+            out += [cs / cw] * ck
+        return np.array(out, dtype=np.float64)
+    bk = np.ones(m, dtype=np.int64)
+    # Phase 1: pool every maximal run of adjacent violators at once. A block
+    # starts a new group when its mean is strictly above its left neighbour's.
+    while m > _STACK_BLOCKS:
+        new = np.empty(m, dtype=bool)
+        new[0] = True
+        np.less(bs[:-1] * bw[1:], bs[1:] * bw[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        if starts.shape[0] == m:
+            return np.repeat(bs / bw, bk)
+        bw = np.add.reduceat(bw, starts)
+        bs = np.add.reduceat(bs, starts)
+        bk = np.add.reduceat(bk, starts)
+        # a staircase under a heavy block shrinks by one block per pass
+        if 2 * starts.shape[0] > m:
+            break
+        m = starts.shape[0]
+    # Phase 2: the stack algorithm finishes on the surviving blocks.
+    pw, ps, pk = _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
+    return np.repeat(np.array(ps, dtype=np.int64) / np.array(pw, dtype=np.int64), pk)
 
 
 def _merge_sorted(ps: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

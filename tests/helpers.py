@@ -45,6 +45,61 @@ def knot_stats(p, y):
     return knots, counts, sums
 
 
+def stack_pool_values(w, s):
+    """Pool-adjacent-violators by the one-knot-at-a-time stack algorithm:
+    the pooled block mean (outcome sum / count) at each knot, given per-knot
+    counts w and outcome sums s. Violators are compared by exact integer
+    cross-multiplication, and equal adjacent means pool."""
+    m = w.shape[0]
+    bw = np.empty(m, np.int64)
+    bs = np.empty(m, np.int64)
+    bk = np.empty(m, np.int64)
+    top = 0
+    for i in range(m):
+        cw = w[i]
+        cs = s[i]
+        ck = 1
+        while top > 0 and bs[top - 1] * cw >= cs * bw[top - 1]:
+            top -= 1
+            cw += bw[top]
+            cs += bs[top]
+            ck += bk[top]
+        bw[top] = cw
+        bs[top] = cs
+        bk[top] = ck
+        top += 1
+    out = np.empty(m, np.float64)
+    pos = 0
+    for b in range(top):
+        v = bs[b] / bw[b]
+        for _ in range(bk[b]):
+            out[pos] = v
+            pos += 1
+    return out
+
+
+def farey_staircase(m):
+    """m knots (counts w, outcome sums s) whose means rise strictly through
+    reduced fractions with small denominators, the last knot replaced by a
+    heavy block of failures that pools a long tail of the staircase. Pooling
+    adjacent violators shrinks this input by one block per pass."""
+    # about 3 d^2 / pi^2 reduced fractions in (0, 1) have denominator < d
+    d = int(math.pi * math.sqrt(m / 3.0)) + 3
+    while True:
+        den, num = np.divmod(np.arange(d * d), d)
+        keep = (num > 0) & (num < den) & (np.gcd(num, den) == 1)
+        if np.count_nonzero(keep) >= m:
+            break
+        d += 8
+    num, den = num[keep], den[keep]
+    order = np.argsort(num / den)
+    s = num[order][:m].astype(np.int64)
+    w = den[order][:m].astype(np.int64)
+    w[-1] = w.sum()
+    s[-1] = 0
+    return w, s
+
+
 def monotone_grid_max(p, y, grid):
     """Brute-force maximum of the log score over nondecreasing assignments
     of grid values to the distinct forecasts."""

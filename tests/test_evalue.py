@@ -257,8 +257,10 @@ class TestSplit:
 
     def test_domain_errors(self):
         ss = _samples([0.4, 0.6], [1, 0])
-        with pytest.raises(DegenerateSplitError):
+        with pytest.raises(DegenerateSplitError, match="leaves an empty part"):
             split_evalue(ss, 0.2, 4, seed=0)
+        with pytest.raises(InputError, match="strictly in"):
+            split_evalue(ss, 1.0, 4, seed=0)
         with pytest.raises(InputError):
             split_evalue(ss, 0.5, 0, seed=0)
         with pytest.raises(InputError):

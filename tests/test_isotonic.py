@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from ehl import (
     oos_predict,
     pava_fit,
 )
-from ehl.isotonic import _pool_values, _pool_values_py
+from ehl.isotonic import _pool_values
 
-from helpers import log_score, monotone_grid_max
+from helpers import farey_staircase, log_score, monotone_grid_max, stack_pool_values
 
 
 def _fit(p, y):
@@ -100,14 +101,66 @@ class TestPava:
             brute = monotone_grid_max(p, y, grid)
             assert mine >= brute - 1e-9
 
-    def test_kernel_variants_agree(self):
-        # compiled and pure-Python kernels must match bit for bit
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            m = int(rng.integers(1, 30))
-            w = rng.integers(1, 6, size=m).astype(np.int64)
-            s = np.array([rng.integers(0, wi + 1) for wi in w], dtype=np.int64)
-            assert np.array_equal(_pool_values(w, s), _pool_values_py(w, s))
+
+def _kernel_corpus():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        m = int(rng.integers(1, 3001))
+        w = rng.integers(1, 7, size=m).astype(np.int64)
+        yield w, rng.binomial(w, rng.random()).astype(np.int64)
+    # merged knots of two-decimal forecasts: many ties, outcomes from p
+    for n in (10, 300, 5000):
+        p = np.round(rng.uniform(0.01, 0.99, size=n), 2)
+        y = (rng.random(n) < p).astype(np.int64)
+        _, inverse = np.unique(p, return_inverse=True)
+        yield (np.bincount(inverse).astype(np.int64),
+               np.bincount(inverse, weights=y).astype(np.int64))
+    for m in (1, 2, 50, 2000):
+        w = rng.integers(1, 7, size=m).astype(np.int64)
+        yield w, np.zeros(m, np.int64)
+        yield w, w.copy()
+    for m in (2, 3, 1000, 1001):
+        yield np.ones(m, np.int64), np.arange(m, dtype=np.int64) % 2
+    for m in (2, 40, 1500):
+        yield farey_staircase(m)
+    yield np.array([4], np.int64), np.array([3], np.int64)
+
+
+def test_kernel_matches_stack_oracle_bit_for_bit():
+    for w, s in _kernel_corpus():
+        want = stack_pool_values(w, s)
+        got = _pool_values(w, s)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Edge inputs must finish within a stated bound: the kernel takes about 0.1 s
+# on either case on a 2-core x86 server, and a hang or a quadratic pass count
+# would not finish in time.
+KERNEL_TIME_BOUND_S = 10.0
+
+
+def test_kernel_time_bound_on_adversarial_staircase():
+    # the heavy last block pools about 1.5e5 knots into one, and every
+    # pooling pass removes just one block, so the stack phase must take
+    # over. With n = w.sum() about 4e8, every cross-product is at most
+    # n^2 < 2^63, so the int64 comparison cannot overflow.
+    w, s = farey_staircase(200_000)
+    assert int(w.sum()) ** 2 < 2**63
+    t0 = time.perf_counter()
+    values = _pool_values(w, s)
+    assert time.perf_counter() - t0 < KERNEL_TIME_BOUND_S
+    assert np.array_equal(values.view(np.int64), stack_pool_values(w, s).view(np.int64))
+
+
+def test_kernel_time_bound_on_a_million_random_outcomes():
+    rng = np.random.default_rng(11)
+    y = (rng.random(1_000_000) < 0.5).astype(np.int64)
+    t0 = time.perf_counter()
+    w = np.ones(y.size, np.int64)
+    values = _pool_values(w, y)
+    assert time.perf_counter() - t0 < KERNEL_TIME_BOUND_S
+    assert np.array_equal(values.view(np.int64), stack_pool_values(w, y).view(np.int64))
 
 
 class TestOosPredict:
