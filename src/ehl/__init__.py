@@ -57,7 +57,7 @@ from .isotonic import (
     oos_predict,
     pava_fit,
 )
-from .numeric import RngState, chisq_sf, derive_rng, expit, logit, solve_linear_3x3
+from .numeric import chisq_sf, expit, logit, solve_linear_3x3
 from .recalibrate import RecalCurve, bagged_recalibrate, isotonic_recalibrate
 from .simulate import (
     PowerCell,
@@ -109,9 +109,7 @@ __all__ = [
     "laplace_smooth",
     "interpolate",
     "oos_predict",
-    "RngState",
     "chisq_sf",
-    "derive_rng",
     "expit",
     "logit",
     "solve_linear_3x3",

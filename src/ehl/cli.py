@@ -22,7 +22,7 @@ from typing import Sequence
 from ._version import __version__
 from .data import dump_samples, load_samples, samples_to_csv
 from .errors import EhlError
-from .evalue import exact_symmetrized_evalue, sequential_evalue, split_evalue
+from .evalue import EXACT_N_LIMIT, exact_symmetrized_evalue, sequential_evalue, split_evalue
 from .hl import METHODS, hl_sweep, hl_test
 from .recalibrate import bagged_recalibrate, isotonic_recalibrate
 from .simulate import SimulationConfig, run_power_study
@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--threshold", type=float, default=20.0,
                    help="rejection threshold on the e-value (default 20)")
     t.add_argument("--n-max", type=_positive_int, default=8,
-                   help="enumeration cap for the exact variant (default 8)")
+                   help="sample-size cap for the exact variant (default 8; samples "
+                        f"above {EXACT_N_LIMIT} are refused whatever the cap)")
     t.add_argument("--threads", type=_positive_int, default=1)
     t.add_argument("--output", help="write JSON here instead of stdout")
 

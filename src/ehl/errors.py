@@ -25,7 +25,7 @@ class BoundaryForecastError(EhlError):
 
 
 class ExactSizeError(EhlError):
-    """Sample too large for full permutation enumeration."""
+    """Sample too large for the exact variant (its n_max or hard size limit)."""
 
     exit_code = 4
 

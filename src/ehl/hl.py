@@ -197,11 +197,9 @@ def _bin_table(samples: SampleSet, binning: Binning) -> list[tuple[float, ...]]:
     return rows
 
 
-def hl_statistic(samples: SampleSet, binning: Binning) -> float:
-    """The binned chi-square statistic; +inf when a zero expected count
-    meets a nonzero observed count."""
+def _chi_square(table: Sequence[tuple[float, ...]]) -> float:
     total = 0.0
-    for count, o1, e1, o0, e0 in _bin_table(samples, binning):
+    for count, o1, e1, o0, e0 in table:
         for o, e in ((o1, e1), (o0, e0)):
             if e == 0.0:
                 if o != 0.0:
@@ -209,12 +207,27 @@ def hl_statistic(samples: SampleSet, binning: Binning) -> float:
                         "zero expected count with nonzero observed count; "
                         "statistic is +inf and the p-value is 0",
                         RuntimeWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     return float("inf")
                 continue
             total += (o - e) ** 2 / e
     return total
+
+
+def hl_statistic(samples: SampleSet, binning: Binning) -> float:
+    """The binned chi-square statistic; +inf when a zero expected count
+    meets a nonzero observed count."""
+    return _chi_square(_bin_table(samples, binning))
+
+
+def _dof(g_realized: int, estimated_in_sample: bool) -> int:
+    dof = g_realized - 2 if estimated_in_sample else g_realized
+    if dof < 1:
+        raise DegreesOfFreedomError(
+            f"{g_realized} realized bins leave {dof} degrees of freedom"
+        )
+    return dof
 
 
 def hl_pvalue(statistic: float, g_realized: int, estimated_in_sample: bool = False) -> float:
@@ -224,12 +237,7 @@ def hl_pvalue(statistic: float, g_realized: int, estimated_in_sample: bool = Fal
     g_realized - 2 when the forecast model was fit on the same data; fewer
     than one degree of freedom is an error.
     """
-    dof = g_realized - 2 if estimated_in_sample else g_realized
-    if dof < 1:
-        raise DegreesOfFreedomError(
-            f"{g_realized} realized bins leave {dof} degrees of freedom"
-        )
-    return chisq_sf(statistic, dof)
+    return chisq_sf(statistic, _dof(g_realized, estimated_in_sample))
 
 
 def hl_test(
@@ -240,18 +248,18 @@ def hl_test(
 ) -> HLReport:
     """Bin, compute the statistic, and attach the p-value in one step."""
     binning = make_binning(samples, method, g)
-    stat = hl_statistic(samples, binning)
-    dof = binning.g_realized - 2 if estimated_in_sample else binning.g_realized
-    p = hl_pvalue(stat, binning.g_realized, estimated_in_sample)
+    table = tuple(_bin_table(samples, binning))
+    stat = _chi_square(table)
+    dof = _dof(binning.g_realized, estimated_in_sample)
     return HLReport(
         method=binning.method,
         g_requested=g,
         g_realized=binning.g_realized,
         statistic=stat,
         dof=dof,
-        p_value=p,
+        p_value=chisq_sf(stat, dof),
         estimated_in_sample=estimated_in_sample,
-        table=tuple(_bin_table(samples, binning)),
+        table=table,
     )
 
 

@@ -1,5 +1,5 @@
-"""Numerical building blocks: stable link functions, chi-square tail
-probabilities, small linear solves, and reproducible random streams.
+"""Numerical building blocks: stable link functions, log-space sums,
+chi-square tail probabilities, small linear solves, and seed normalization.
 
 The chi-square survival function is computed from the regularized upper
 incomplete gamma function with the classic two-regime scheme: a power series
@@ -11,14 +11,11 @@ for the degrees of freedom used anywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-
-RNG_ALGORITHM = "pcg64"
 
 _MAX_ITER = 600
 _EPS = 1e-16
@@ -162,34 +159,6 @@ def solve_linear_3x3(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if abs(det) <= 1e-12 * scale:
         raise InputError("singular or near-singular 3x3 system")
     return np.linalg.solve(a, b)
-
-
-def derive_rng(*key: int) -> np.random.Generator:
-    """Generator seeded from an integer key sequence.
-
-    Streams for distinct keys are statistically independent, and the same
-    key always yields the same stream, which is what makes parallel runs
-    bit-stable: every task seeds its own generator from (master seed, task
-    index) instead of sharing one stream.
-    """
-    if not key:
-        raise InputError("derive_rng requires at least one integer key component")
-    return np.random.default_rng(list(key))
-
-
-@dataclass(frozen=True)
-class RngState:
-    """Serializable description of a random stream: root seed key plus
-    algorithm tag, sufficient to reproduce every draw."""
-
-    seed: tuple[int, ...]
-    algorithm: str = RNG_ALGORITHM
-
-    def generator(self) -> np.random.Generator:
-        return derive_rng(*self.seed)
-
-    def child(self, *key: int) -> "RngState":
-        return RngState(self.seed + key, self.algorithm)
 
 
 def seed_key(seed: int | Sequence[int]) -> tuple[int, ...]:

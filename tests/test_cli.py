@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ehl
 from ehl import load_samples, sequential_evalue
 from ehl.cli import (
     main,
@@ -71,6 +73,13 @@ class TestEhlTest:
         assert "error:" in capsys.readouterr().err
         rc = main(["ehl-test", "--input", f, "--variant", "exact", "--n-max", "9"])
         assert rc == 0
+
+    def test_exact_hard_limit_exit_code(self, tmp_path, capsys):
+        p = np.linspace(0.1, 0.9, 15)
+        f = _write_csv(tmp_path / "big.csv", p, [0] * 15)
+        rc = main(["ehl-test", "--input", f, "--variant", "exact", "--n-max", "20"])
+        assert rc == 4
+        assert "hard limit of 14" in capsys.readouterr().err
 
     def test_boundary_exit_code(self, tmp_path, capsys):
         f = _write_csv(tmp_path / "b.csv", [0.0, 0.5], [0, 1])
@@ -400,10 +409,15 @@ class TestEntryPoints:
         assert capsys.readouterr().out.strip() == f"ehl {__version__}"
 
     def test_module_invocation(self):
+        # the child process imports the same ehl as this one, also when
+        # only pytest's pythonpath setting put it on sys.path
+        src = os.path.dirname(os.path.dirname(ehl.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "ehl", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"ehl {__version__}"

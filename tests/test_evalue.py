@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ehl import (
     sequential_evalue,
     split_evalue,
 )
+from ehl.evalue import EXACT_N_LIMIT
 
 from helpers import outcome_expectation
 
@@ -130,10 +132,14 @@ class TestExact:
         assert report.e_value == pytest.approx(175.0 / 108.0, rel=1e-12)
 
     def test_matches_explicit_permutation_average(self):
+        # continuous forecasts, then one-decimal ones whose ties reach the
+        # tie branch of the merged prefix state
         rng = np.random.default_rng(11)
-        for _ in range(100):
+        for t in range(140):
             n = int(rng.integers(1, 7))
             p = rng.uniform(0.05, 0.95, size=n)
+            if t >= 100:
+                p = np.round(p, 1)
             y = (rng.random(n) < p).astype(int)
             got = exact_symmetrized_evalue(_samples(p, y)).e_value
             perms = [
@@ -170,6 +176,25 @@ class TestExact:
         exact_symmetrized_evalue(_samples(p, y), n_max=9)
         with pytest.raises(InputError):
             exact_symmetrized_evalue(_samples(p[:2], y[:2]), n_max=0)
+
+    def test_hard_limit_fails_fast(self):
+        n = EXACT_N_LIMIT + 1
+        p = np.linspace(0.1, 0.9, n)
+        y = np.zeros(n, dtype=int)
+        start = time.perf_counter()
+        with pytest.raises(ExactSizeError, match=f"hard limit of {EXACT_N_LIMIT}"):
+            exact_symmetrized_evalue(_samples(p, y), n_max=20)
+        assert time.perf_counter() - start < 1.0
+
+    def test_time_bound_at_n11(self):
+        # about 1 s on one core; the bound leaves room for slow shared hosts
+        rng = np.random.default_rng(17)
+        p = np.round(rng.uniform(0.05, 0.95, size=11), 1)
+        y = (rng.random(11) < p).astype(int)
+        start = time.perf_counter()
+        report = exact_symmetrized_evalue(_samples(p, y), n_max=11)
+        assert time.perf_counter() - start < 20.0
+        assert math.isfinite(report.log_e)
 
 
 class TestSplit:

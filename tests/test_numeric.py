@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ehl import InputError, chisq_sf, derive_rng, expit, logit, solve_linear_3x3
-from ehl.numeric import RngState, exp_clamped, expit_array, logsumexp, seed_key
+from ehl import InputError, chisq_sf, expit, logit, solve_linear_3x3
+from ehl.numeric import exp_clamped, expit_array, logsumexp, seed_key
 
 from helpers import chi2_sf_quad
 
@@ -92,26 +92,6 @@ class TestSolve3x3:
 
 
 class TestRng:
-    def test_same_key_same_stream(self):
-        a = derive_rng(7, 3).random(5)
-        b = derive_rng(7, 3).random(5)
-        assert np.array_equal(a, b)
-
-    def test_different_keys_differ(self):
-        a = derive_rng(7, 3).random(5)
-        b = derive_rng(7, 4).random(5)
-        assert not np.array_equal(a, b)
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(InputError):
-            derive_rng()
-
-    def test_state_child(self):
-        root = RngState((5,))
-        child = root.child(2, 9)
-        assert child.seed == (5, 2, 9)
-        assert np.array_equal(child.generator().random(3), derive_rng(5, 2, 9).random(3))
-
     def test_seed_key_forms(self):
         assert seed_key(4) == (4,)
         assert seed_key((1, 2)) == (1, 2)
