@@ -3,6 +3,10 @@
 A sample is a vector of probability forecasts paired with binary outcomes.
 Arrays are validated once at construction and frozen (read-only views), so
 downstream code can share them across threads without copying.
+
+CSV files of plain numbers load through numpy's C reader; any other file
+takes the row-by-row csv loop, and both give the same arrays and the same
+row-numbered errors (see load_samples).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -108,6 +113,15 @@ def load_samples(source: str | Path | IO[str]) -> LabeledSampleSet:
     up when present. Errors carry the 1-based data row number. Rows with
     p outside [0, 1], y outside {0, 1}, or unparseable numbers are rejected;
     there is no imputation.
+
+    A seekable source whose cells are all plain numbers is parsed in C by
+    np.loadtxt, which reads every number with the routine float() uses.
+    Anything that path does not accept exactly as the row loop would (a
+    quoted, duplicate or malformed header, a quoted or non-numeric cell, a
+    ragged row, a value out of range, no data rows) sends the source back
+    to its start and through the row-by-row csv loop, so results and
+    errors are the same either way; that loop is also the only path for
+    sources that cannot seek.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as fh:
@@ -116,6 +130,52 @@ def load_samples(source: str | Path | IO[str]) -> LabeledSampleSet:
 
 
 def _load(fh: IO[str]) -> LabeledSampleSet:
+    seekable = getattr(fh, "seekable", None)
+    if seekable is not None and seekable():
+        start = fh.tell()
+        samples = _load_numeric(fh)
+        if samples is not None:
+            return samples
+        fh.seek(start)
+    return _load_rows(fh)
+
+
+def _load_numeric(fh: IO[str]) -> LabeledSampleSet | None:
+    """The sample, when every row is plain numbers that pass the row rules;
+    None otherwise, with fh left anywhere."""
+    line = fh.readline()
+    # a quoted header field may run on over later lines
+    if '"' in line:
+        return None
+    try:
+        header = next(csv.reader([line.rstrip("\r\n")]), [])
+    except csv.Error:
+        return None
+    if "p" not in header or "y" not in header or len(set(header)) != len(header):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns instead of failing when there are no data rows
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        return None
+    cols = {
+        name: table[:, header.index(name)]
+        for name in ("p", "y", "x", "pi_bar")
+        if name in header
+    }
+    p, y, pi_bar = cols["p"], cols["y"], cols.get("pi_bar")
+    if not np.all((p >= 0.0) & (p <= 1.0)) or not np.all((y == 0.0) | (y == 1.0)):
+        return None
+    if pi_bar is not None and not np.all((pi_bar >= 0.0) & (pi_bar <= 1.0)):
+        return None
+    return LabeledSampleSet(p, y.astype(np.int64), cols.get("x"), pi_bar)
+
+
+def _load_rows(fh: IO[str]) -> LabeledSampleSet:
     reader = csv.DictReader(fh)
     header = reader.fieldnames
     if header is None:

@@ -126,6 +126,16 @@ def _merge_sorted(ps: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return knots, counts, sums
 
 
+def _splice(a: np.ndarray, j: int, v) -> np.ndarray:
+    """a with v inserted before position j; np.insert without its fixed
+    per-call cost, which dominates on the few knots of a prefix state."""
+    out = np.empty(a.shape[0] + 1, dtype=a.dtype)
+    out[:j] = a[:j]
+    out[j] = v
+    out[j + 1:] = a[j:]
+    return out
+
+
 def _insert_merged(
     knots: np.ndarray, w: np.ndarray, s: np.ndarray, p: float, y: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,7 +147,7 @@ def _insert_merged(
         w2[j] += 1
         s2[j] += y
         return knots, w2, s2
-    return np.insert(knots, j, p), np.insert(w, j, 1), np.insert(s, j, y)
+    return _splice(knots, j, p), _splice(w, j, 1), _splice(s, j, y)
 
 
 def _oos_from_merged(knots: np.ndarray, w: np.ndarray, s: np.ndarray, p_new: float) -> float:
@@ -148,8 +158,8 @@ def _oos_from_merged(knots: np.ndarray, w: np.ndarray, s: np.ndarray, p_new: flo
         w2[j] += 1
         s0 = s.copy()
     else:
-        w2 = np.insert(w, j, 1)
-        s0 = np.insert(s, j, 0)
+        w2 = _splice(w, j, 1)
+        s0 = _splice(s, j, 0)
     g0 = float(_pool_values(w2, s0)[j])
     s0[j] += 1
     g1 = float(_pool_values(w2, s0)[j])

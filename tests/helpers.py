@@ -162,3 +162,112 @@ def chi2_sf_quad(x, k):
 
     val, _ = integrate.quad(dens, x, np.inf, limit=400)
     return val
+
+
+# Frozen copies of the per-cell binning and the row-by-row CSV loader that
+# the sorted-view binning and the numpy loader replaced. They are the
+# references the replacements are checked against.
+
+
+def hl_bins_reference(p, y, method, g):
+    """Index arrays of the realized bins of one (method, g) cell: edges by
+    the documented formulas, then one flatnonzero per bin, or an equal-count
+    split of the (p, +-y, index) lexsort order."""
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    if method in ("Qplus", "Qminus"):
+        n = p.size
+        y_key = y if method == "Qplus" else -y
+        order = np.lexsort((np.arange(n), y_key, p))
+        base = n // g
+        sizes = np.full(g, base, dtype=np.int64)
+        r = n % g
+        for t in range(1, r + 1):
+            target = -((2 * t - 1) * g // -(2 * r))  # ceil((2t-1) g / (2r))
+            sizes[target - 1] += 1
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
+        return [np.sort(order[a:b]) for a, b in zip(starts, stops)]
+    if method == "E":
+        edges = np.linspace(float(np.min(p)), float(np.max(p)), g + 1)
+        side = "left"
+    else:
+        cuts = np.quantile(p, np.arange(1, g) / g)
+        edges = np.unique(np.concatenate(([0.0], cuts, [1.0])))
+        side = "left" if method == "QL" else "right"
+    m = edges.size - 1
+    idx = np.searchsorted(edges, p, side=side) - 1
+    idx = np.clip(idx, 0, m - 1)
+    bins = [np.flatnonzero(idx == k) for k in range(m)]
+    return [b for b in bins if b.size > 0]
+
+
+def hl_table_reference(p, y, bins):
+    """Rows (count, o1, e1, o0, e0) per bin, sums taken in index order."""
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    rows = []
+    for idx in bins:
+        count = int(idx.size)
+        o1 = float(np.sum(y[idx]))
+        e1 = float(np.sum(p[idx]))
+        rows.append((float(count), o1, e1, count - o1, count - e1))
+    return rows
+
+
+def load_rows_reference(fh):
+    """Columns p, y, x, pi_bar (None when absent) of a forecast CSV read
+    row by row with csv.DictReader and float(), or the InputError the
+    loader raises, with its row-numbered message."""
+    import csv
+
+    from ehl.errors import InputError
+
+    def parse(text, column, row):
+        try:
+            return float(text)
+        except ValueError:
+            raise InputError(
+                f"row {row}: malformed number {text!r} in column {column!r}"
+            ) from None
+
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames
+    if header is None:
+        raise InputError("empty input: no CSV header")
+    for required in ("p", "y"):
+        if required not in header:
+            raise InputError(f"missing required column {required!r} (header: {header})")
+    optional = [name for name in ("x", "pi_bar") if name in header]
+
+    ps, ys = [], []
+    extras = {name: [] for name in optional}
+    for row_num, record in enumerate(reader, start=1):
+        raw_p = record.get("p")
+        raw_y = record.get("y")
+        if raw_p is None or raw_y is None or raw_p == "" or raw_y == "":
+            raise InputError(f"row {row_num}: missing value for p or y")
+        p = parse(raw_p, "p", row_num)
+        if math.isnan(p) or not 0.0 <= p <= 1.0:
+            raise InputError(f"row {row_num}: p={raw_p} outside [0, 1]")
+        y_val = parse(raw_y, "y", row_num)
+        if y_val not in (0.0, 1.0):
+            raise InputError(f"row {row_num}: y={raw_y} is not 0 or 1")
+        for name in optional:
+            raw = record.get(name)
+            if raw is None or raw == "":
+                raise InputError(f"row {row_num}: missing value in column {name!r}")
+            value = parse(raw, name, row_num)
+            if name == "pi_bar" and (math.isnan(value) or not 0.0 <= value <= 1.0):
+                raise InputError(f"row {row_num}: pi_bar={raw} outside [0, 1]")
+            extras[name].append(value)
+        ps.append(p)
+        ys.append(int(y_val))
+    if not ps:
+        raise InputError("empty input: no data rows")
+    return {
+        "p": np.array(ps),
+        "y": np.array(ys),
+        "x": np.array(extras["x"]) if "x" in extras else None,
+        "pi_bar": np.array(extras["pi_bar"]) if "pi_bar" in extras else None,
+    }

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from ehl import (
 )
 from ehl.numeric import chisq_sf
 
-from helpers import type7_quantile
+from helpers import hl_bins_reference, hl_table_reference, type7_quantile
 
 
 def _ss(p, y):
@@ -427,3 +429,100 @@ class TestSweep:
     def test_unknown_method_rejected(self):
         with pytest.raises(InputError):
             hl_sweep(self._data(n=50, seed=27), methods=("QR", "bogus"))
+
+
+def _reference_corpus(seed=31, cases=120):
+    """Forecast samples that stress the binning rules: two-decimal ties,
+    constant forecasts, forecasts of exactly 0 and 1, all-0 and all-1
+    outcomes, fewer distinct values than bins, and n below g."""
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        n = int(rng.integers(1, 250))
+        kind = i % 5
+        if kind == 0:
+            p = rng.random(n)
+        elif kind == 1:
+            p = np.round(rng.random(n), 2)
+        elif kind == 2:
+            p = np.full(n, 0.3)
+        elif kind == 3:
+            p = rng.choice([0.0, 0.5, 1.0], size=n)
+        else:
+            p = np.round(rng.random(n), 1)
+        outcomes = (i // 5) % 3
+        if outcomes == 0:
+            y = (rng.random(n) < p).astype(int)
+        else:
+            y = np.full(n, outcomes - 1)
+        yield p, y
+
+
+class TestAgainstPerCellReference:
+    """The sorted-view binning against frozen copies of the per-cell
+    binning it replaced: bins and integer counts exactly, and sums, which
+    now run over each bin's forecasts in ascending order instead of input
+    order, to 1e-12 relative (with 1e-12 absolute slack on a statistic
+    near zero, where o - e cancels)."""
+
+    G_VALUES = (1, 2, 3, 5, 10, 20, 300)
+
+    def test_structure_exact_and_sums_close(self):
+        cells = 0
+        for p, y in _reference_corpus():
+            ss = _ss(p, y)
+            for m in METHODS:
+                for g in self.G_VALUES:
+                    if m in ("Qplus", "Qminus") and g > p.size:
+                        with pytest.raises(InputError, match="exceeds sample size"):
+                            hl_test(ss, m, g)
+                        continue
+                    ref_bins = hl_bins_reference(p, y, m, g)
+                    binning = make_binning(ss, m, g)
+                    assert len(binning.bins) == len(ref_bins)
+                    for got, want in zip(binning.bins, ref_bins):
+                        assert np.array_equal(got, want)
+                    ref_table = hl_table_reference(p, y, ref_bins)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        try:
+                            report = hl_test(ss, m, g)
+                        except DegreesOfFreedomError:
+                            continue
+                        assert report.statistic == hl_statistic(ss, binning)
+                    cells += 1
+                    assert report.g_realized == len(ref_table)
+                    for row, ref in zip(report.table, ref_table):
+                        assert (row[0], row[1], row[3]) == (ref[0], ref[1], ref[3])
+                        assert row[2] == pytest.approx(ref[2], rel=1e-12)
+                        assert row[4] == pytest.approx(ref[4], rel=1e-12)
+                    ref_stat = _stat_oracle(ss, binning)
+                    assert report.statistic == pytest.approx(ref_stat, rel=1e-12, abs=1e-12)
+                    assert report.p_value == chisq_sf(report.statistic, report.dof)
+        assert cells > 3000
+
+    def test_sweep_cells_equal_single_tests(self):
+        # the sweep takes every quantile cut from one np.quantile call; the
+        # single test asks for its g alone, and the two must agree exactly
+        for p, y in _reference_corpus(seed=32, cases=30):
+            ss = _ss(p, y)
+            for in_sample in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    result = hl_sweep(ss, g_values=range(0, 22), estimated_in_sample=in_sample)
+                    for (m, g), rep in result.reports.items():
+                        assert rep == hl_test(ss, m, g, in_sample)
+                    for (m, g), msg in result.failures.items():
+                        with pytest.raises((InputError, DegreesOfFreedomError)) as exc:
+                            hl_test(ss, m, g, in_sample)
+                        assert str(exc.value) == msg
+                assert len(result.reports) + len(result.failures) == 5 * 22
+
+    def test_sweep_time_bound_on_a_million_rows(self):
+        rng = np.random.default_rng(33)
+        p = np.round(rng.random(1_000_000), 3)
+        ss = _ss(p, (rng.random(p.size) < p).astype(int))
+        t0 = time.perf_counter()
+        result = hl_sweep(ss)
+        assert time.perf_counter() - t0 < 10.0
+        assert len(result.reports) == 80
+
