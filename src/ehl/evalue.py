@@ -36,10 +36,10 @@ from .data import SampleSet, _train_size, split_indices
 from .errors import BoundaryForecastError, ExactSizeError, InputError
 from .isotonic import (
     _insert_merged,
-    _laplace_values,
     _merge_sorted,
     _oos_from_merged,
-    _pool_values,
+    _pool_blocks,
+    _smoothed_values,
 )
 from .numeric import exp_clamped, logsumexp, seed_key
 
@@ -300,7 +300,7 @@ def split_evalue(
             mask[:] = False
             mask[pos[train]] = True
             knots, w, sums = _merge_sorted(ps[mask], ys[mask])
-            smoothed = _laplace_values(_pool_values(w, sums), w, sums)
+            smoothed = _smoothed_values(*_pool_blocks(w, sums))
             q = np.interp(p[hold], knots, smoothed)
             yh = y[hold]
             terms = np.where(

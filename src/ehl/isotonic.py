@@ -11,8 +11,9 @@ value are merged into one knot first, so fitted values are constant on ties.
 Block arithmetic is exact: weights and outcome sums are integers, and the
 violator comparison is done by cross-multiplication, so the block structure
 never depends on floating-point rounding. Products are at most n^2 for n
-observations, below 2^63 while n < 3e9, so int64 cannot overflow. Fitted
-block values are the pooled outcome means, computed once per block.
+observations, below 2^63 while n < 3e9, so int64 cannot overflow. The
+blocks are computed once, as integers (count, outcome sum, knots covered),
+and fitted, smoothed and out-of-sample values are all read from them.
 
 Pooling runs in two phases. Vectorized passes first pool every maximal run
 of adjacent blocks whose means do not increase, all at once; they stop when
@@ -46,12 +47,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import SampleSet, _freeze
 from .errors import InputError
 
 
 # Below this many blocks the stack algorithm costs less than one more
-# vectorized pass, and below this many knots building the output in Python
-# costs less than np.repeat: numpy calls carry a fixed overhead.
+# vectorized pass: numpy calls carry a fixed overhead.
 _STACK_BLOCKS = 32
 
 
@@ -75,18 +76,15 @@ def _stack_pool(
     return bw, bs, bk
 
 
-def _pool_values(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Pooled block mean at each knot, given per-knot counts w and outcome
-    sums s (int64, in knot order)."""
+def _pool_blocks(w: np.ndarray, s: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Pooled blocks, given per-knot counts w and outcome sums s (int64, in
+    knot order): Python-int lists of each block's count, outcome sum and
+    number of knots, in knot order, with strictly increasing means."""
     bw = np.asarray(w, dtype=np.int64)
     bs = np.asarray(s, dtype=np.int64)
     m = bw.shape[0]
     if m <= _STACK_BLOCKS:
-        out: list[float] = []
-        # for sums below 2^53, int / int rounds exactly as numpy int64 division
-        for cw, cs, ck in zip(*_stack_pool(bw.tolist(), bs.tolist(), [1] * m)):
-            out += [cs / cw] * ck
-        return np.array(out, dtype=np.float64)
+        return _stack_pool(bw.tolist(), bs.tolist(), [1] * m)
     bk = np.ones(m, dtype=np.int64)
     # Phase 1: pool every maximal run of adjacent violators at once. A block
     # starts a new group when its mean is strictly above its left neighbour's.
@@ -96,7 +94,7 @@ def _pool_values(w: np.ndarray, s: np.ndarray) -> np.ndarray:
         np.less(bs[:-1] * bw[1:], bs[1:] * bw[:-1], out=new[1:])
         starts = np.flatnonzero(new)
         if starts.shape[0] == m:
-            return np.repeat(bs / bw, bk)
+            return bw.tolist(), bs.tolist(), bk.tolist()
         bw = np.add.reduceat(bw, starts)
         bs = np.add.reduceat(bs, starts)
         bk = np.add.reduceat(bk, starts)
@@ -105,8 +103,12 @@ def _pool_values(w: np.ndarray, s: np.ndarray) -> np.ndarray:
             break
         m = starts.shape[0]
     # Phase 2: the stack algorithm finishes on the surviving blocks.
-    pw, ps, pk = _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
-    return np.repeat(np.array(ps, dtype=np.int64) / np.array(pw, dtype=np.int64), pk)
+    return _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
+
+
+def _smoothed_values(bw, bs, bk) -> np.ndarray:
+    """Per-knot smoothed values of pooled blocks: (0.5 + sum) / (count + 1)."""
+    return np.repeat(np.divide(np.add(0.5, bs), np.add(bw, 1.0)), bk)
 
 
 def _merge_sorted(ps: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,6 +152,15 @@ def _insert_merged(
     return _splice(knots, j, p), _splice(w, j, 1), _splice(s, j, y)
 
 
+def _block_mean_at(w: np.ndarray, s: np.ndarray, j: int) -> float:
+    """Pooled block mean at knot j of the fit on per-knot counts w, sums s."""
+    for cw, cs, ck in zip(*_pool_blocks(w, s)):
+        if j < ck:
+            # for sums below 2^53, int / int rounds exactly as numpy int64 division
+            return cs / cw
+        j -= ck
+
+
 def _oos_from_merged(knots: np.ndarray, w: np.ndarray, s: np.ndarray, p_new: float) -> float:
     """Out-of-sample value at p_new given merged-knot prefix state."""
     j = int(np.searchsorted(knots, p_new))
@@ -160,27 +171,16 @@ def _oos_from_merged(knots: np.ndarray, w: np.ndarray, s: np.ndarray, p_new: flo
     else:
         w2 = _splice(w, j, 1)
         s0 = _splice(s, j, 0)
-    g0 = float(_pool_values(w2, s0)[j])
+    g0 = _block_mean_at(w2, s0, j)
     s0[j] += 1
-    g1 = float(_pool_values(w2, s0)[j])
+    g1 = _block_mean_at(w2, s0, j)
     # g1 >= g0, so the denominator is at least 1
     return g1 / (g1 + 1.0 - g0)
 
 
-def _laplace_values(values: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-knot Laplace-smoothed values: blocks are maximal runs of equal
-    fitted values; each block's (0.5 + sum) / (count + 1) is assigned to
-    every knot it covers."""
-    m = values.shape[0]
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    bw = np.add.reduceat(w, starts)
-    bs = np.add.reduceat(s, starts)
-    per_block = (0.5 + bs) / (bw + 1.0)
-    counts = np.diff(np.append(starts, m))
-    return np.repeat(per_block, counts)
+def _check_knots(knots: np.ndarray) -> None:
+    if not (np.all((knots >= 0.0) & (knots <= 1.0)) and np.all(np.diff(knots) > 0)):
+        raise InputError("knots must be strictly increasing values in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -190,35 +190,41 @@ class IsotonicFit:
     Attributes
     ----------
     knots : ndarray
-        Strictly increasing distinct forecast values.
-    values : ndarray
-        Nondecreasing fitted values, one per knot; knots sharing a pooled
-        block carry the identical float.
+        Strictly increasing distinct forecast values in [0, 1].
     block_weights : ndarray
         Observation count at each knot (tie multiplicity).
     block_sums : ndarray
         Outcome sum at each knot.
+    pool_weights, pool_sums, pool_sizes : ndarray
+        The pooled blocks, in knot order: each block's observation count,
+        outcome sum and number of knots. Block means strictly increase.
     """
 
     knots: np.ndarray
-    values: np.ndarray
     block_weights: np.ndarray
     block_sums: np.ndarray
+    pool_weights: np.ndarray
+    pool_sums: np.ndarray
+    pool_sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("knots", "values", "block_weights", "block_sums"):
-            arr = getattr(self, name)
-            arr = np.array(arr, copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (self.knots.shape == self.values.shape == self.block_weights.shape == self.block_sums.shape):
+        for name in ("knots", "block_weights", "block_sums", "pool_weights", "pool_sums", "pool_sizes"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name), copy=True)))
+        if not (self.knots.shape == self.block_weights.shape == self.block_sums.shape):
             raise InputError("knot arrays must share one shape")
         if self.knots.size == 0:
             raise InputError("fit requires at least one knot")
-        if np.any(np.diff(self.knots) <= 0):
-            raise InputError("knots must be strictly increasing")
-        if np.any(np.diff(self.values) < 0):
-            raise InputError("fitted values must be nondecreasing")
+        _check_knots(self.knots)
+        bw, bs, bk = self.pool_weights, self.pool_sums, self.pool_sizes
+        if not bw.shape == bs.shape == bk.shape or np.any(bk <= 0) or bk.sum() != self.knots.size:
+            raise InputError("pooled block sizes must be positive and sum to the knot count")
+        if np.any(bw <= 0) or np.any(bs[:-1] * bw[1:] >= bs[1:] * bw[:-1]):
+            raise InputError("pooled block means must be strictly increasing")
+
+    @property
+    def values(self) -> np.ndarray:
+        """Nondecreasing fitted values: each knot's pooled block mean."""
+        return np.repeat(np.divide(self.pool_sums, self.pool_weights), self.pool_sizes)
 
     def __len__(self) -> int:
         return int(self.knots.size)
@@ -233,12 +239,11 @@ class SmoothedFit:
 
     def __post_init__(self) -> None:
         for name in ("knots", "values"):
-            arr = np.array(getattr(self, name), copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name), copy=True)))
         if self.knots.shape != self.values.shape or self.knots.size == 0:
             raise InputError("smoothed fit requires matching nonempty knot and value arrays")
-        if np.any((self.values <= 0.0) | (self.values >= 1.0)):
+        _check_knots(self.knots)
+        if not np.all((self.values > 0.0) & (self.values < 1.0)):
             raise InputError("smoothed values must lie strictly inside (0, 1)")
 
 
@@ -252,19 +257,17 @@ def pava_fit(samples) -> IsotonicFit:
     ps = np.asarray(samples.p, dtype=float)[order]
     ys = np.asarray(samples.y, dtype=np.int64)[order]
     knots, w, s = _merge_sorted(ps, ys)
-    values = _pool_values(w, s)
-    return IsotonicFit(knots, values, w, s)
+    return IsotonicFit(knots, w, s, *_pool_blocks(w, s))
 
 
 def laplace_smooth(fit: IsotonicFit) -> SmoothedFit:
     """Smooth a fit's pooled block means toward 1/2.
 
-    Each maximal run of knots with equal fitted value forms one block with
-    pooled count W and outcome sum S; the smoothed value (0.5 + S) / (W + 1)
-    is assigned to all of the block's knots. Smoothed values are strictly
-    inside (0, 1) even for pure-0 or pure-1 blocks.
+    Each pooled block, with count W and outcome sum S, gets the smoothed
+    value (0.5 + S) / (W + 1) at all of its knots. Smoothed values are
+    strictly inside (0, 1) even for pure-0 or pure-1 blocks.
     """
-    return SmoothedFit(fit.knots, _laplace_values(fit.values, fit.block_weights, fit.block_sums))
+    return SmoothedFit(fit.knots, _smoothed_values(fit.pool_weights, fit.pool_sums, fit.pool_sizes))
 
 
 def interpolate(fit: SmoothedFit, p: float | Sequence[float] | np.ndarray):
@@ -296,16 +299,9 @@ def oos_predict(
     """
     if not 0.0 <= p_new <= 1.0:
         raise InputError(f"p_new must lie in [0, 1], got {p_new!r}")
-    ps = np.asarray(prefix_p, dtype=float).reshape(-1)
-    ys = np.asarray(prefix_y, dtype=np.int64).reshape(-1)
-    if ps.shape != ys.shape:
-        raise InputError("prefix forecast and outcome lengths differ")
-    if ps.size == 0:
+    if np.size(prefix_p) == 0 and np.size(prefix_y) == 0:
         return 0.5
-    if np.any((ps < 0.0) | (ps > 1.0)):
-        raise InputError("prefix forecasts must lie in [0, 1]")
-    if not np.all((ys == 0) | (ys == 1)):
-        raise InputError("prefix outcomes must be 0 or 1")
-    order = np.argsort(ps, kind="stable")
-    knots, w, s = _merge_sorted(ps[order], ys[order])
+    prefix = SampleSet(prefix_p, prefix_y)
+    order = np.argsort(prefix.p, kind="stable")
+    knots, w, s = _merge_sorted(prefix.p[order], prefix.y[order])
     return _oos_from_merged(knots, w, s, p_new)

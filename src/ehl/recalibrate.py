@@ -61,7 +61,7 @@ class RecalCurve:
         """Map forecasts through the recalibration curve (exact, not via
         the export grid)."""
         arr = np.asarray(p, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise InputError("forecasts to recalibrate must lie in [0, 1]")
         total = np.zeros(arr.shape, dtype=float)
         for fit in self.fits:

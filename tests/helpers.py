@@ -78,6 +78,22 @@ def stack_pool_values(w, s):
     return out
 
 
+def laplace_values_reference(values, w, s):
+    """Frozen copy of the per-knot Laplace smoothing that found each pooled
+    block again as a maximal run of equal fitted values, then assigned the
+    block's (0.5 + sum) / (count + 1) to every knot it covers."""
+    m = values.shape[0]
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    bw = np.add.reduceat(w, starts)
+    bs = np.add.reduceat(s, starts)
+    per_block = (0.5 + bs) / (bw + 1.0)
+    counts = np.diff(np.append(starts, m))
+    return np.repeat(per_block, counts)
+
+
 def farey_staircase(m):
     """m knots (counts w, outcome sums s) whose means rise strictly through
     reduced fractions with small denominators, the last knot replaced by a

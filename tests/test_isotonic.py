@@ -6,6 +6,7 @@ import pytest
 
 from ehl import (
     InputError,
+    IsotonicFit,
     SampleSet,
     SmoothedFit,
     interpolate,
@@ -13,9 +14,15 @@ from ehl import (
     oos_predict,
     pava_fit,
 )
-from ehl.isotonic import _pool_values
+from ehl.isotonic import _pool_blocks
 
-from helpers import farey_staircase, log_score, monotone_grid_max, stack_pool_values
+from helpers import (
+    farey_staircase,
+    laplace_values_reference,
+    log_score,
+    monotone_grid_max,
+    stack_pool_values,
+)
 
 
 def _fit(p, y):
@@ -88,6 +95,38 @@ class TestPava:
             assert np.array_equal(base.values, other.values)
             assert np.array_equal(base.block_weights, other.block_weights)
 
+    def test_fit_validation(self):
+        # three knots: the first two pool into one block of mean 1/2
+        good = dict(knots=[0.1, 0.4, 0.9], block_weights=[1, 1, 1], block_sums=[1, 0, 1],
+                    pool_weights=[2, 1], pool_sums=[1, 1], pool_sizes=[2, 1])
+        fit = IsotonicFit(**good)
+        assert list(fit.values) == [0.5, 0.5, 1.0]
+        same = _fit([0.1, 0.4, 0.9], [1, 0, 1])
+        for name in good:
+            assert np.array_equal(getattr(fit, name), getattr(same, name))
+        bad = [
+            dict(knots=[0.1, float("nan"), 0.9]),
+            dict(knots=[float("nan"), 0.4, 0.9]),
+            dict(knots=[0.4, 0.1, 0.9]),
+            dict(knots=[0.1, 0.1, 0.9]),
+            dict(knots=[0.1, 0.4, 1.5]),
+            dict(block_weights=[1, 1]),
+            dict(knots=[], block_weights=[], block_sums=[], pool_weights=[], pool_sums=[], pool_sizes=[]),
+            # block sizes must be positive and sum to the knot count
+            dict(pool_weights=[2, 3, 1], pool_sums=[1, 2, 1], pool_sizes=[2, 0, 1]),
+            dict(pool_sizes=[2, 2]),
+            dict(pool_sizes=[1, 1]),
+            dict(pool_weights=[2, 1], pool_sums=[1], pool_sizes=[2, 1]),
+            # equal adjacent means pool; a falling mean is a violator
+            dict(block_sums=[0, 1, 1], pool_weights=[1, 1, 1], pool_sums=[0, 1, 1], pool_sizes=[1, 1, 1]),
+            dict(pool_weights=[1, 2], pool_sums=[1, 1], pool_sizes=[1, 2]),
+            dict(pool_weights=[2, 0]),
+            dict(pool_weights=[2, -1], pool_sums=[1, 0]),
+        ]
+        for change in bad:
+            with pytest.raises(InputError):
+                IsotonicFit(**{**good, **change})
+
     def test_optimality_against_grid_search(self):
         # brute force over nondecreasing assignments on a coarse value grid
         rng = np.random.default_rng(7)
@@ -123,15 +162,64 @@ def _kernel_corpus():
         yield np.ones(m, np.int64), np.arange(m, dtype=np.int64) % 2
     for m in (2, 40, 1500):
         yield farey_staircase(m)
+    # no violator at all, and none left after the first pass: pairs of a
+    # success then a heavier failure, pair means 1 / (1 + w) rising
+    for m in (33, 500):
+        yield np.full(m, m, np.int64), np.arange(m, dtype=np.int64)
+        w = np.ones(2 * m, np.int64)
+        w[1::2] = np.arange(m + 1, 1, -1)
+        yield w, (np.arange(2 * m) % 2 == 0).astype(np.int64)
     yield np.array([4], np.int64), np.array([3], np.int64)
+
+
+def _pooled_values(w, s):
+    """_pool_blocks expanded to one block mean per knot, checked for the
+    block structure on the way: Python-int blocks in knot order that cover
+    every knot, whose totals are the per-knot sums over their knots, and
+    whose means strictly increase."""
+    bw, bs, bk = _pool_blocks(w, s)
+    assert all(type(v) is int for v in bw + bs + bk)
+    assert len(bw) == len(bs) == len(bk) and min(bk) > 0 and sum(bk) == w.shape[0]
+    starts = np.cumsum(bk) - bk
+    assert np.add.reduceat(w, starts).tolist() == bw
+    assert np.add.reduceat(s, starts).tolist() == bs
+    assert all(s0 * w1 < s1 * w0 for w0, s0, w1, s1 in zip(bw, bs, bw[1:], bs[1:]))
+    return np.repeat(np.divide(bs, bw), bk)
 
 
 def test_kernel_matches_stack_oracle_bit_for_bit():
     for w, s in _kernel_corpus():
         want = stack_pool_values(w, s)
-        got = _pool_values(w, s)
+        got = _pooled_values(w, s)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _laplace_corpus():
+    for w, s in _kernel_corpus():
+        yield w, s, np.linspace(0.0005, 0.9995, w.shape[0])
+    # tied forecasts, and one constant forecast
+    rng = np.random.default_rng(19)
+    for n in (7, 400, 6000):
+        p = np.round(rng.uniform(0.01, 0.99, size=n), 1)
+        y = (rng.random(n) < p).astype(np.int64)
+        knots, inverse = np.unique(p, return_inverse=True)
+        yield (np.bincount(inverse).astype(np.int64),
+               np.bincount(inverse, weights=y).astype(np.int64), knots)
+    for n, ones in ((1, 0), (1, 1), (50, 0), (50, 50), (50, 17)):
+        yield np.array([n], np.int64), np.array([ones], np.int64), np.array([0.3])
+
+
+def test_laplace_smooth_matches_run_reference_bit_for_bit():
+    # the smoothed values read from the pooled blocks equal the old smoothing,
+    # which found each block again as a maximal run of equal fitted values
+    for w, s, knots in _laplace_corpus():
+        p = np.repeat(knots, w)
+        y = np.concatenate([[1] * ones + [0] * (count - ones) for count, ones in zip(w, s)])
+        sm = laplace_smooth(_fit(p, y))
+        want = laplace_values_reference(stack_pool_values(w, s), w, s)
+        assert np.array_equal(sm.knots, knots)
+        assert np.array_equal(sm.values.view(np.int64), want.view(np.int64))
 
 
 # Edge inputs must finish within a stated bound: the kernel takes about 0.1 s
@@ -148,8 +236,10 @@ def test_kernel_time_bound_on_adversarial_staircase():
     w, s = farey_staircase(200_000)
     assert int(w.sum()) ** 2 < 2**63
     t0 = time.perf_counter()
-    values = _pool_values(w, s)
+    blocks = _pool_blocks(w, s)
     assert time.perf_counter() - t0 < KERNEL_TIME_BOUND_S
+    assert blocks == _pool_blocks(w, s)
+    values = _pooled_values(w, s)
     assert np.array_equal(values.view(np.int64), stack_pool_values(w, s).view(np.int64))
 
 
@@ -158,8 +248,10 @@ def test_kernel_time_bound_on_a_million_random_outcomes():
     y = (rng.random(1_000_000) < 0.5).astype(np.int64)
     t0 = time.perf_counter()
     w = np.ones(y.size, np.int64)
-    values = _pool_values(w, y)
+    blocks = _pool_blocks(w, y)
     assert time.perf_counter() - t0 < KERNEL_TIME_BOUND_S
+    assert blocks == _pool_blocks(w, y)
+    values = _pooled_values(w, y)
     assert np.array_equal(values.view(np.int64), stack_pool_values(w, y).view(np.int64))
 
 
@@ -227,6 +319,10 @@ class TestOosPredict:
             oos_predict([1.5], [1], 0.5)
         with pytest.raises(InputError):
             oos_predict([0.5], [2], 0.5)
+        with pytest.raises(InputError):
+            oos_predict([float("nan"), 0.3], [1, 0], 0.5)
+        with pytest.raises(InputError):
+            oos_predict([], [1], 0.5)
 
 
 class TestLaplace:
@@ -271,8 +367,19 @@ class TestLaplace:
         assert sm.values[-1] < sm.values[0]
 
     def test_smoothed_fit_validation(self):
-        with pytest.raises(InputError):
-            SmoothedFit(np.array([0.5]), np.array([1.0]))
+        bad = [
+            ([0.5], [1.0]),
+            ([0.5], [float("nan")]),
+            ([0.8, 0.2], [0.3, 0.6]),
+            ([0.2, 0.2], [0.3, 0.6]),
+            ([0.2, float("nan")], [0.3, 0.6]),
+            ([float("nan")], [0.3]),
+            ([-0.1, 0.2], [0.3, 0.6]),
+            ([0.2, 1.5], [0.3, 0.6]),
+        ]
+        for knots, values in bad:
+            with pytest.raises(InputError):
+                SmoothedFit(np.array(knots), np.array(values))
 
 
 class TestInterpolate:

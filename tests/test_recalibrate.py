@@ -97,6 +97,8 @@ class TestUnbagged:
             curve.apply([0.5, 1.2])
         with pytest.raises(InputError):
             curve.apply([-0.1])
+        with pytest.raises(InputError):
+            curve.apply([0.5, float("nan")])
 
 
 class TestBagged:
