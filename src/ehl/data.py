@@ -29,7 +29,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Probability forecasts p in [0, 1] with outcomes y in {0, 1}."""
 
@@ -64,7 +64,7 @@ class SampleSet:
         return SampleSet(p, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSampleSet(SampleSet):
     """SampleSet extended with optional covariates x and true conditional
     probabilities pi_bar (available in simulations, absent in applications)."""

@@ -35,9 +35,9 @@ import numpy as np
 from .data import SampleSet, _train_size, split_indices
 from .errors import BoundaryForecastError, ExactSizeError, InputError
 from .isotonic import (
-    _insert_merged,
+    _PrefixBlocks,
     _merge_sorted,
-    _oos_from_merged,
+    _oos_value,
     _pool_blocks,
     _smoothed_values,
 )
@@ -175,23 +175,28 @@ def sequential_evalue(
     prediction from observations 1..i-1 (1/2 for the first). Returns the
     final e-value together with the cumulative path (E_1, ..., E_n), whose
     running values form a test martingale under calibration.
+
+    The prefix is kept as its pooled blocks. Each step re-pools only the
+    block that holds the new point, once with the other label for the
+    prediction and once with the observed label, which also grows the
+    prefix. A step costs about that block's knot count: O(n) per step and
+    O(n^2) in total only when one block holds every knot.
     """
     _require_interior(samples)
     p = samples.p
     y = samples.y
     n = len(samples)
-    knots = np.empty(0, dtype=float)
-    w = np.empty(0, dtype=np.int64)
-    s = np.empty(0, dtype=np.int64)
+    state = _PrefixBlocks.empty()
     log_e = 0.0
     path = []
     for i in range(n):
         pi = float(p[i])
         yi = int(y[i])
-        q = _oos_from_merged(knots, w, s, pi)
+        other = state.step(pi, 1 - yi)
+        own = state.step(pi, yi, grow=True)
+        q = _oos_value(other, own) if yi else _oos_value(own, other)
         log_e += _log_eq_scalar(pi, yi, q)
         path.append(exp_clamped(log_e))
-        knots, w, s = _insert_merged(knots, w, s, pi, yi)
     return EValueReport.from_log(
         "sequential", log_e, threshold=threshold, path=tuple(path)
     )
@@ -207,7 +212,9 @@ def exact_symmetrized_evalue(
     prefix sets T: F(T + {j}) accumulates F(T) + log eq_j(T) by log-sum-exp,
     starting from F({}) = 0, and log e = F(all) - log n!. Each factor is
     computed once per (prefix set, next index) with the arithmetic of the
-    sequential test, so the work is about 2^n n / 2 out-of-sample fits. The
+    sequential test, so the work is about 2^n n / 2 out-of-sample steps.
+    Each prefix set keeps its pooled blocks, grown from a copy of those of
+    the set without its lowest member. The
     factors are combined in a different order than a sum over permutations;
     the two agree to 1e-12 relative. The result does not depend on the input
     order.
@@ -233,19 +240,22 @@ def exact_symmetrized_evalue(
     p = [float(v) for v in samples.p]
     y = [int(v) for v in samples.y]
     full = (1 << n) - 1
-    # merged-knot state of each prefix set: the state of the set without its
-    # lowest member, plus that member
-    states = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    # pooled blocks of each prefix set: those of the set without its lowest
+    # member, grown by that member
+    states = [_PrefixBlocks.empty()]
     log_f = np.full(full + 1, -math.inf)
     log_f[0] = 0.0
     for mask in range(full):
         if mask:
             j0 = (mask & -mask).bit_length() - 1
-            states.append(_insert_merged(*states[mask & (mask - 1)], p[j0], y[j0]))
+            state = states[mask & (mask - 1)].copy()
+            state.step(p[j0], y[j0], grow=True)
+            states.append(state)
         state = states[mask]
         for j in range(n):
             if not mask >> j & 1:
-                term = log_f[mask] + _log_eq_scalar(p[j], y[j], _oos_from_merged(*state, p[j]))
+                q = _oos_value(state.step(p[j], 0), state.step(p[j], 1))
+                term = log_f[mask] + _log_eq_scalar(p[j], y[j], q)
                 grown = mask | 1 << j
                 log_f[grown] = np.logaddexp(log_f[grown], term)
     log_e = float(log_f[full]) - math.log(math.factorial(n))

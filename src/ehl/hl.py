@@ -52,7 +52,7 @@ METHODS = ("QL", "QR", "Qplus", "Qminus", "E")
 SWEEP_G_VALUES = tuple(range(5, 21))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Binning:
     """Assignment of observations to bins.
 

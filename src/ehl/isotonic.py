@@ -34,14 +34,22 @@ appended at the new point:
     q = g1 / (g1 + 1 - g0)
 
 where g1 and g0 are the augmented fitted values there. An empty prefix
-gives q = 1/2. The Laplace-smoothed fit replaces each pooled block mean
-(sum / count) by (0.5 + sum) / (count + 1), which is strictly inside (0, 1),
-and predicts between knots by linear interpolation with constant extension
-beyond the outermost knots.
+gives q = 1/2. The prefix is kept as its pooled blocks, and each augmented
+value re-pools only the block that holds the new point, then merges the
+result with its neighbours by the stack rule. The other blocks are
+poolings of knots the new point does not touch, so by the same order
+independence they stay pooled, and g1 and g0 come from the same integers
+as a full refit. A step costs about the knot count of the holding block.
+
+The Laplace-smoothed fit replaces each pooled block mean (sum / count) by
+(0.5 + sum) / (count + 1), which is strictly inside (0, 1), and predicts
+between knots by linear interpolation with constant extension beyond the
+outermost knots.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,42 +146,149 @@ def _splice(a: np.ndarray, j: int, v) -> np.ndarray:
     return out
 
 
-def _insert_merged(
-    knots: np.ndarray, w: np.ndarray, s: np.ndarray, p: float, y: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merged-knot state after adding one observation (p, y)."""
-    j = int(np.searchsorted(knots, p))
-    if j < knots.shape[0] and knots[j] == p:
-        w2 = w.copy()
-        s2 = s.copy()
-        w2[j] += 1
-        s2[j] += y
-        return knots, w2, s2
-    return _splice(knots, j, p), _splice(w, j, 1), _splice(s, j, y)
+def _first_knots(knots: list[float], start: int, sizes: list[int]) -> list[float]:
+    """First knot of each block of the given sizes, the first block starting
+    at knot index start."""
+    out = []
+    for k in sizes:
+        out.append(knots[start])
+        start += k
+    return out
 
 
-def _block_mean_at(w: np.ndarray, s: np.ndarray, j: int) -> float:
-    """Pooled block mean at knot j of the fit on per-knot counts w, sums s."""
-    for cw, cs, ck in zip(*_pool_blocks(w, s)):
-        if j < ck:
-            # for sums below 2^53, int / int rounds exactly as numpy int64 division
-            return cs / cw
-        j -= ck
+class _PrefixBlocks:
+    """A sample kept as its pooled blocks, for out-of-sample steps.
+
+    knots is the sorted list of distinct forecasts, w and s the int64 count
+    and outcome sum at each knot; bw, bs and bk are the pooled blocks as
+    Python ints (count, outcome sum, knots covered), and bf each block's
+    first knot.
+    """
+
+    __slots__ = ("knots", "w", "s", "bw", "bs", "bk", "bf")
+
+    def __init__(self, knots, w, s, bw, bs, bk, bf):
+        self.knots = knots
+        self.w = w
+        self.s = s
+        self.bw = bw
+        self.bs = bs
+        self.bk = bk
+        self.bf = bf
+
+    @classmethod
+    def empty(cls) -> "_PrefixBlocks":
+        return cls([], np.empty(0, np.int64), np.empty(0, np.int64), [], [], [], [])
+
+    @classmethod
+    def fit(cls, knots: np.ndarray, w: np.ndarray, s: np.ndarray) -> "_PrefixBlocks":
+        """State of merged knots with per-knot counts w and outcome sums s."""
+        kl = knots.tolist()
+        bw, bs, bk = _pool_blocks(w, s)
+        return cls(kl, w, s, bw, bs, bk, _first_knots(kl, 0, bk))
+
+    def copy(self) -> "_PrefixBlocks":
+        return _PrefixBlocks(self.knots[:], self.w.copy(), self.s.copy(),
+                             self.bw[:], self.bs[:], self.bk[:], self.bf[:])
+
+    def step(self, p: float, y: int, grow: bool = False) -> float:
+        """Fitted value at p after adding the observation (p, y), from
+        re-pooling only the block that holds p; with grow, the observation
+        is also added to the state."""
+        knots, w, s, bw, bs, bk = self.knots, self.w, self.s, self.bw, self.bs, self.bk
+        if bw:
+            # the block holding p: the last one whose first knot is at most
+            # p, and block 0 below every knot
+            h = max(bisect_right(self.bf, p) - 1, 0)
+            a = bisect_left(knots, self.bf[h])
+            b = a + bk[h]
+        else:
+            h = a = b = 0
+        j = bisect_left(knots, p, a, b)
+        tie = j < b and knots[j] == p
+        k = j - a
+        if b - a < _STACK_BLOCKS:
+            # the stack algorithm reads Python ints
+            lw = w[a:b].tolist()
+            ls = s[a:b].tolist()
+            if tie:
+                lw[k] += 1
+                ls[k] += y
+            else:
+                lw.insert(k, 1)
+                ls.insert(k, y)
+            pooled = _stack_pool(lw, ls, [1] * len(lw))
+        else:
+            if tie:
+                lw = w[a:b].copy()
+                ls = s[a:b].copy()
+                lw[k] += 1
+                ls[k] += y
+            else:
+                lw = _splice(w[a:b], k, 1)
+                ls = _splice(s[a:b], k, y)
+            pooled = _pool_blocks(lw, ls)
+        # The stack rule outward: tw, ts, tk is the stack above the left
+        # blocks bw[:lo], whose knots start at index start. The re-pooled
+        # blocks go on first, then right blocks from hi on while the stack
+        # top pools with them; once one does not, none beyond it can.
+        lo, hi, start = h, h + 1 if bw else 0, a
+        tw: list[int] = []
+        ts: list[int] = []
+        tk: list[int] = []
+        nb = len(bw)
+        incoming = zip(*pooled)
+        while True:
+            block = next(incoming, None)
+            if block is not None:
+                cw, cs, ck = block
+            elif hi < nb and ts[-1] * bw[hi] >= bs[hi] * tw[-1]:
+                cw, cs, ck = bw[hi], bs[hi], bk[hi]
+                hi += 1
+            else:
+                break
+            while True:
+                if tw:
+                    if ts[-1] * cw < cs * tw[-1]:
+                        break
+                    cw += tw.pop()
+                    cs += ts.pop()
+                    ck += tk.pop()
+                elif lo and bs[lo - 1] * cw >= cs * bw[lo - 1]:
+                    lo -= 1
+                    cw += bw[lo]
+                    cs += bs[lo]
+                    ck += bk[lo]
+                    start -= bk[lo]
+                else:
+                    break
+            tw.append(cw)
+            ts.append(cs)
+            tk.append(ck)
+        end = start
+        for cw, cs, ck in zip(tw, ts, tk):
+            end += ck
+            if j < end:
+                # for sums below 2^53, int / int rounds exactly as numpy int64 division
+                value = cs / cw
+                break
+        if grow:
+            if tie:
+                w[j] += 1
+                s[j] += y
+            else:
+                knots.insert(j, p)
+                self.w = _splice(w, j, 1)
+                self.s = _splice(s, j, y)
+            bw[lo:hi] = tw
+            bs[lo:hi] = ts
+            bk[lo:hi] = tk
+            self.bf[lo:hi] = _first_knots(knots, start, tk)
+        return value
 
 
-def _oos_from_merged(knots: np.ndarray, w: np.ndarray, s: np.ndarray, p_new: float) -> float:
-    """Out-of-sample value at p_new given merged-knot prefix state."""
-    j = int(np.searchsorted(knots, p_new))
-    if j < knots.shape[0] and knots[j] == p_new:
-        w2 = w.copy()
-        w2[j] += 1
-        s0 = s.copy()
-    else:
-        w2 = _splice(w, j, 1)
-        s0 = _splice(s, j, 0)
-    g0 = _block_mean_at(w2, s0, j)
-    s0[j] += 1
-    g1 = _block_mean_at(w2, s0, j)
+def _oos_value(g0: float, g1: float) -> float:
+    """Out-of-sample value from the augmented fitted values g0 and g1."""
     # g1 >= g0, so the denominator is at least 1
     return g1 / (g1 + 1.0 - g0)
 
@@ -183,7 +298,7 @@ def _check_knots(knots: np.ndarray) -> None:
         raise InputError("knots must be strictly increasing values in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotonicFit:
     """Monotone fit on the distinct forecast values.
 
@@ -230,7 +345,7 @@ class IsotonicFit:
         return int(self.knots.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedFit:
     """Laplace-smoothed fit: values strictly inside (0, 1), one per knot."""
 
@@ -303,5 +418,6 @@ def oos_predict(
         return 0.5
     prefix = SampleSet(prefix_p, prefix_y)
     order = np.argsort(prefix.p, kind="stable")
-    knots, w, s = _merge_sorted(prefix.p[order], prefix.y[order])
-    return _oos_from_merged(knots, w, s, p_new)
+    state = _PrefixBlocks.fit(*_merge_sorted(prefix.p[order], prefix.y[order]))
+    p_new = float(p_new)
+    return _oos_value(state.step(p_new, 0), state.step(p_new, 1))

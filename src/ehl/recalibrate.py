@@ -29,7 +29,7 @@ DEFAULT_BAND = (0.01, 0.99)
 DEFAULT_GRID_SIZE = 1001
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecalCurve:
     """Recalibration map with its export grid.
 

@@ -6,6 +6,7 @@ formulas, or quadrature. Keep it that way; these functions must never call
 back into the implementation paths they are checking.
 """
 
+import bisect
 import itertools
 import math
 
@@ -92,6 +93,143 @@ def laplace_values_reference(values, w, s):
     per_block = (0.5 + bs) / (bw + 1.0)
     counts = np.diff(np.append(starts, m))
     return np.repeat(per_block, counts)
+
+
+# Frozen copy of the sequential and exact loops that refit the whole prefix
+# twice per step: the merged-knot prefix grows by one observation at a time,
+# and each out-of-sample value pools every knot again, once with an
+# artificial failure and once with an artificial success at the new point.
+# The block-local step is checked against it bit for bit.
+
+
+def _stack_blocks(w, s):
+    """Pooled blocks (count, outcome sum, knots) of Python-int lists w, s by
+    the stack algorithm, with equal adjacent means pooled."""
+    bw, bs, bk = [], [], []
+    for cw, cs in zip(w, s):
+        ck = 1
+        while bw and bs[-1] * cw >= cs * bw[-1]:
+            cw += bw.pop()
+            cs += bs.pop()
+            ck += bk.pop()
+        bw.append(cw)
+        bs.append(cs)
+        bk.append(ck)
+    return bw, bs, bk
+
+
+def _refit_value_at(w, s, j):
+    for cw, cs, ck in zip(*_stack_blocks(w, s)):
+        if j < ck:
+            return cs / cw
+        j -= ck
+
+
+def oos_reference(knots, w, s, p_new):
+    """Out-of-sample value at p_new of the merged prefix (knots, w, s), by
+    two full refits."""
+    j = bisect.bisect_left(knots, p_new)
+    if j < len(knots) and knots[j] == p_new:
+        w2 = w[:]
+        w2[j] += 1
+        s0 = s[:]
+    else:
+        w2 = w[:j] + [1] + w[j:]
+        s0 = s[:j] + [0] + s[j:]
+    g0 = _refit_value_at(w2, s0, j)
+    s0[j] += 1
+    g1 = _refit_value_at(w2, s0, j)
+    return g1 / (g1 + 1.0 - g0)
+
+
+def _insert_reference(knots, w, s, p, y):
+    j = bisect.bisect_left(knots, p)
+    if j < len(knots) and knots[j] == p:
+        w, s = w[:], s[:]
+        w[j] += 1
+        s[j] += y
+        return knots, w, s
+    return knots[:j] + [p] + knots[j:], w[:j] + [1] + w[j:], s[:j] + [y] + s[j:]
+
+
+def _log_eq_reference(p, y, q):
+    if (q if y == 1 else 1.0 - q) == 0.0:
+        return -math.inf
+    if y == 1:
+        return math.log(q) - math.log(p)
+    return math.log1p(-q) - math.log1p(-p)
+
+
+def sequential_reference(p, y):
+    """Final log e-value and e-process path of the sequential test."""
+    state = ([], [], [])
+    log_e = 0.0
+    path = []
+    for pi, yi in zip(p, y):
+        pi, yi = float(pi), int(yi)
+        log_e += _log_eq_reference(pi, yi, oos_reference(*state, pi))
+        path.append(math.inf if log_e > 709.0 else math.exp(log_e))
+        state = _insert_reference(*state, pi, yi)
+    return log_e, path
+
+
+def exact_reference(p, y):
+    """Log e-value of the exact test: the recursion over prefix sets, each
+    set's state grown from the set without its lowest member."""
+    p = [float(v) for v in p]
+    y = [int(v) for v in y]
+    n = len(p)
+    full = (1 << n) - 1
+    states = [([], [], [])]
+    log_f = np.full(full + 1, -math.inf)
+    log_f[0] = 0.0
+    for mask in range(full):
+        if mask:
+            j0 = (mask & -mask).bit_length() - 1
+            states.append(_insert_reference(*states[mask & (mask - 1)], p[j0], y[j0]))
+        for j in range(n):
+            if not mask >> j & 1:
+                q = oos_reference(*states[mask], p[j])
+                term = log_f[mask] + _log_eq_reference(p[j], y[j], q)
+                grown = mask | 1 << j
+                log_f[grown] = np.logaddexp(log_f[grown], term)
+    return float(log_f[full]) - math.log(math.factorial(n))
+
+
+def step_cases(p, y):
+    """The cases the out-of-sample steps of the sequential test meet, found
+    by full refits: 'tie' when the new point ties a prefix knot, 'wide' when
+    the prefix block holding it (the last block whose first knot is at most
+    the point, block 0 below every knot) has more than 32 knots, and 'left'
+    and 'right' when the augmented block at the new point reaches past that
+    block's first or last knot."""
+    cases = set()
+    knots, w, s = [], [], []
+    for pi, yi in zip(p, y):
+        pi, yi = float(pi), int(yi)
+        if knots:
+            starts = list(itertools.accumulate([0] + _stack_blocks(w, s)[2]))
+            h = max(bisect.bisect_right([knots[a] for a in starts[:-1]], pi) - 1, 0)
+            j = bisect.bisect_left(knots, pi)
+            tie = j < len(knots) and knots[j] == pi
+            first, last = starts[h], starts[h + 1] - tie
+            if tie:
+                cases.add("tie")
+            if starts[h + 1] - starts[h] > 32:
+                cases.add("wide")
+            for label in (0, 1):
+                aug = _insert_reference(knots, w, s, pi, label)
+                lo = 0
+                for size in _stack_blocks(aug[1], aug[2])[2]:
+                    if j < lo + size:
+                        break
+                    lo += size
+                if lo < first:
+                    cases.add("left")
+                if lo + size - 1 > last:
+                    cases.add("right")
+        knots, w, s = _insert_reference(knots, w, s, pi, yi)
+    return cases
 
 
 def farey_staircase(m):

@@ -83,10 +83,14 @@ def test_criterion_02_unit_mean_of_evalues():
     carried by paths rarer than one in a thousand: the betting probabilities
     are estimated from data, so var(log E) grows like log n and reaches about
     six at n=256 even with a single forecast level, the mildest design there
-    is. A 1000-replication mean therefore lands near 0.2 with near certainty
-    and no admissible design or honest seed fixes that. The two-sided check
-    is kept at full strength and its failure is marked expected rather than
-    hidden behind a loosened tolerance.
+    is. At one level the e-value has a closed form, Laplace's rule of
+    succession (test_evalue.py::TestOneLevelOracle): the rarest outcome
+    counts, of total probability below 1e-3, carry 0.794 of the unit mean,
+    so the part a 1000-replication mean can see is 53/257 = 0.206. The mean
+    therefore lands near 0.2 with near certainty and no admissible design or
+    honest seed fixes that. The two-sided check is kept at full strength and
+    its failure is marked expected rather than hidden behind a loosened
+    tolerance.
     """
     n, reps = 256, 1000
     rng = np.random.default_rng([MASTER_SEED, 2])

@@ -348,3 +348,24 @@ def test_bernoulli_reproducible():
     assert np.array_equal(y1, y2)
     assert set(np.unique(y1)) <= {0, 1}
     assert 200 < y1.sum() < 400
+
+
+def test_array_holding_classes_compare_by_identity():
+    # a generated __eq__ would compare the ndarray fields and raise on the
+    # ambiguous truth value of an elementwise comparison
+    from ehl import isotonic_recalibrate, laplace_smooth, make_binning, pava_fit
+
+    def build():
+        s = SampleSet([0.2, 0.3, 0.7], [0, 1, 1])
+        return [
+            s,
+            LabeledSampleSet([0.2, 0.3], [0, 1], x=[1.0, 2.0], pi_bar=[0.2, 0.4]),
+            pava_fit(s),
+            laplace_smooth(pava_fit(s)),
+            isotonic_recalibrate(s),
+            make_binning(s, "E", 2),
+        ]
+
+    for a, b in zip(build(), build()):
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True and (a != a) is False

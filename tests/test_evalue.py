@@ -15,16 +15,57 @@ from ehl import (
     eq_single,
     evalue_to_pvalue,
     exact_symmetrized_evalue,
+    pava_fit,
     sequential_evalue,
     split_evalue,
 )
 from ehl.evalue import EXACT_N_LIMIT
 
-from helpers import outcome_expectation
+from helpers import (
+    exact_reference,
+    outcome_expectation,
+    sequential_reference,
+    step_cases,
+)
 
 
 def _samples(p, y):
     return SampleSet(p, y)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _sequential_corpus():
+    """(p, y) pairs for the bit-identity gate of the sequential test."""
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 5, 12, 60, 250, 700, 2000):
+        p = rng.uniform(0.02, 0.98, n)
+        yield p, (rng.random(n) < p).astype(int)
+        if n <= 700:
+            # one- and two-decimal ties, and one constant forecast
+            p1 = np.clip(np.round(p, 1), 0.1, 0.9)
+            yield p1, (rng.random(n) < p1).astype(int)
+            p2 = np.clip(np.round(p, 2), 0.01, 0.99)
+            yield p2, (rng.random(n) < p2).astype(int)
+            yield np.full(n, 0.37), (rng.random(n) < 0.5).astype(int)
+            # all failures and all successes
+            yield p, np.zeros(n, int)
+            yield p2, np.ones(n, int)
+    for n in (300, 1000):
+        # outcomes falling with p: one block holds everything
+        p = rng.uniform(0.02, 0.98, n)
+        yield p, (rng.random(n) < 1.0 - p).astype(int)
+        yield p, (p < 0.5).astype(int)
+    # outcomes rising with p: nine tied levels whose outcome rates rise, so
+    # every knot ends as its own block
+    levels = np.repeat(np.linspace(0.1, 0.9, 9), 20)
+    ones = np.concatenate([np.arange(20) < 2 * (k + 1) for k in range(9)]).astype(int)
+    order = rng.permutation(levels.size)
+    yield levels[order], ones[order]
+    p = rng.uniform(0.02, 0.98, 400)
+    yield p, (p > 0.5).astype(int)
 
 
 class TestEqSingle:
@@ -116,6 +157,47 @@ class TestSequential:
         with pytest.raises(BoundaryForecastError):
             sequential_evalue(_samples([0.5, 1.0], [1, 1]))
 
+    def test_matches_full_refit_loop_bit_for_bit(self):
+        # the block-local step against the frozen loop that refits the whole
+        # prefix twice per step
+        for p, y in _sequential_corpus():
+            report = sequential_evalue(_samples(p, y))
+            log_e, path = sequential_reference(p, y)
+            assert np.array_equal(_bits(report.path), _bits(path))
+            assert _bits(report.log_e) == _bits(log_e)
+
+    def test_corpus_reaches_every_case_of_the_step(self):
+        # ties, a holding block beyond the stack-only size, and augmented
+        # blocks that pool with left and with right neighbours
+        cases = set()
+        for p, y in _sequential_corpus():
+            if p.size <= 300:
+                cases |= step_cases(p, y)
+        assert cases == {"tie", "wide", "left", "right"}
+
+    # The cost the README states, held with room for slow shared hosts. On a
+    # 2-core x86 server typical data takes about 1.3 s at n = 10^4, and one
+    # block holding every knot, the worst case of the block-local step,
+    # about 1.2 s at n = 4000.
+    def test_time_bound_on_typical_data(self):
+        rng = np.random.default_rng(37)
+        p = rng.uniform(0.02, 0.98, 10_000)
+        y = (rng.random(p.size) < p).astype(int)
+        start = time.perf_counter()
+        report = sequential_evalue(_samples(p, y))
+        assert time.perf_counter() - start < 20.0
+        assert len(report.path) == p.size and math.isfinite(report.log_e)
+
+    def test_time_bound_on_one_block(self):
+        rng = np.random.default_rng(41)
+        p = rng.uniform(0.02, 0.98, 4000)
+        y = (rng.random(p.size) < 1.0 - p).astype(int)
+        assert len(pava_fit(_samples(p, y)).pool_weights) == 1
+        start = time.perf_counter()
+        report = sequential_evalue(_samples(p, y))
+        assert time.perf_counter() - start < 20.0
+        assert len(report.path) == p.size and math.isfinite(report.log_e)
+
 
 class TestExact:
     def test_single_observation_matches_sequential(self):
@@ -186,6 +268,17 @@ class TestExact:
             exact_symmetrized_evalue(_samples(p, y), n_max=20)
         assert time.perf_counter() - start < 1.0
 
+    def test_matches_full_refit_loop_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for t in range(60):
+            n = int(rng.integers(1, 9))
+            p = rng.uniform(0.05, 0.95, size=n)
+            if t % 2:
+                p = np.clip(np.round(p, 1), 0.1, 0.9)
+            y = (rng.random(n) < p).astype(int)
+            got = exact_symmetrized_evalue(_samples(p, y)).log_e
+            assert _bits(got) == _bits(exact_reference(p, y))
+
     def test_time_bound_at_n11(self):
         # about 1 s on one core; the bound leaves room for slow shared hosts
         rng = np.random.default_rng(17)
@@ -195,6 +288,69 @@ class TestExact:
         report = exact_symmetrized_evalue(_samples(p, y), n_max=11)
         assert time.perf_counter() - start < 20.0
         assert math.isfinite(report.log_e)
+
+
+def _laplace_log_e(s, n, p):
+    """Log sequential e-value at one forecast level p after n observations
+    with s successes. Every prefix is one knot, where the out-of-sample rule
+    is Laplace's rule of succession, q = (s + 1) / (n + 2), so the product is
+    s! (n - s)! / (n + 1)! over the null likelihood p^s (1 - p)^(n - s).
+
+    The float p is a / 2^k exactly, so E = 2^(kn) / ((n + 1) C(n, s) a^s
+    (2^k - a)^(n - s)) in integers, and only the last logarithm rounds. A
+    difference of lgamma terms would lose about 1e-16 n log n to
+    cancellation, 1e-11 at n = 10^4, where log E itself is near zero."""
+    a, d = p.as_integer_ratio()
+    k = d.bit_length() - 1
+    den = (n + 1) * math.comb(n, s) * a**s * (d - a) ** (n - s)
+    shift = max(den.bit_length() - 64, 0)
+    return (k * n - shift) * math.log(2) - math.log(den >> shift)
+
+
+def _close_in_log(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestOneLevelOracle:
+    def test_sequential_matches_closed_form(self):
+        rng = np.random.default_rng(47)
+        for p in (0.5, 0.13, 0.9):
+            for n in (1, 2, 7, 100, 1000, 10_000):
+                for rate in (0.0, p, 0.5, 1.0):
+                    y = (rng.random(n) < rate).astype(int)
+                    report = sequential_evalue(_samples(np.full(n, p), y))
+                    assert _close_in_log(report.log_e, _laplace_log_e(int(y.sum()), n, p))
+
+    def test_exact_matches_closed_form(self):
+        # the closed form does not depend on the order, so neither does the
+        # permutation average
+        for p in (0.5, 0.13, 0.9):
+            for n in (1, 2, 3, 5, 8, 10):
+                for s in sorted({0, 1, n // 3, n}):
+                    y = np.arange(n) < s
+                    got = exact_symmetrized_evalue(_samples(np.full(n, p), y), n_max=n)
+                    assert _close_in_log(got.log_e, _laplace_log_e(s, n, p))
+
+    def test_unit_mean_and_visible_mass_at_n256(self):
+        # the design of acceptance criterion 02: each outcome count s has
+        # null probability C(n, s) p^s (1 - p)^(n - s), and its e-value times
+        # that probability is 1 / (n + 1), so the mean is exactly 1. The
+        # rarest counts, of total probability below 1e-3, carry 0.794 of it,
+        # so a 1000-replication mean sees only 53 / 257 = 0.206.
+        n, p = 256, 0.5
+        pmf = [math.exp(math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
+                        + s * math.log(p) + (n - s) * math.log1p(-p)) for s in range(n + 1)]
+        terms = [q * math.exp(_laplace_log_e(s, n, p)) for s, q in enumerate(pmf)]
+        assert math.fsum(terms) == pytest.approx(1.0, abs=1e-12)
+        rare, mass = set(), 0.0
+        for s in sorted(range(n + 1), key=pmf.__getitem__):
+            if mass + pmf[s] >= 1e-3:
+                break
+            mass += pmf[s]
+            rare.add(s)
+        visible = [t for s, t in enumerate(terms) if s not in rare]
+        assert len(visible) == 53
+        assert math.fsum(visible) == pytest.approx(53 / 257, rel=1e-12)
 
 
 class TestSplit:

@@ -292,13 +292,26 @@ class TestOosPredict:
     def test_matches_explicitly_augmented_fits(self):
         # reconstruct the definition through the public fit: g1 and g0 are
         # the fitted values at p_new after adding an artificial success or
-        # failure there, and the prediction is g1 / (g1 + 1 - g0)
+        # failure there, and the prediction is g1 / (g1 + 1 - g0). Short
+        # prefixes on five levels, then continuous prefixes of up to 300
+        # observations, whose block holding p_new can exceed the 32 knots
+        # that the stack algorithm takes alone.
         rng = np.random.default_rng(14)
+        prefixes = []
         for _ in range(40):
             n = int(rng.integers(1, 15))
-            p = rng.choice(np.linspace(0.1, 0.9, 5), size=n)
-            y = (rng.random(n) < 0.5).astype(int)
-            for p_new in rng.random(3):
+            prefixes.append(rng.choice(np.linspace(0.1, 0.9, 5), size=n))
+        for _ in range(30):
+            prefixes.append(rng.random(int(rng.integers(15, 301))))
+        wide = 0
+        for p in prefixes:
+            y = (rng.random(p.size) < 0.5).astype(int)
+            prefix_fit = _fit(p, y)
+            sizes = prefix_fit.pool_sizes
+            firsts = prefix_fit.knots[np.cumsum(sizes) - sizes]
+            # new points between the knots, and on a knot of the prefix
+            for p_new in [*rng.random(3), rng.choice(p)]:
+                wide += sizes[max(np.searchsorted(firsts, p_new, side="right") - 1, 0)] > 32
                 aug_p = np.append(p, p_new)
                 g = []
                 for label in (1, 0):
@@ -308,7 +321,8 @@ class TestOosPredict:
                 g1, g0 = g
                 q = oos_predict(p, y, float(p_new))
                 assert g0 - 1e-15 <= q <= g1 + 1e-15
-                assert q == pytest.approx(g1 / (g1 + 1.0 - g0), abs=1e-15)
+                assert q == g1 / (g1 + 1.0 - g0)
+        assert wide >= 10
 
     def test_validation(self):
         with pytest.raises(InputError):
