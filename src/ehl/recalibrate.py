@@ -22,7 +22,7 @@ import numpy as np
 from .data import SampleSet
 from .errors import InputError
 from .isotonic import SmoothedFit, laplace_smooth, pava_fit
-from .numeric import seed_key
+from .numeric import _thread_spans, seed_key
 
 DEFAULT_BAGS = 100
 DEFAULT_BAND = (0.01, 0.99)
@@ -135,12 +135,11 @@ def bagged_recalibrate(
             idx = rng.integers(0, n, size=n)
             fits[b] = laplace_smooth(pava_fit(recal.take(idx)))
 
-    if threads == 1 or n_bags == 1:
+    spans = _thread_spans(n_bags, threads, n)
+    if len(spans) == 1:
         run(0, n_bags)
     else:
-        step = -(-n_bags // threads)
-        spans = [(lo, min(lo + step, n_bags)) for lo in range(0, n_bags, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             for _ in pool.map(lambda span: run(*span), spans):
                 pass
 

@@ -30,11 +30,18 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .data import LabeledSampleSet, split_indices
+from .data import LabeledSampleSet
 from .errors import FitError, InputError
-from .evalue import _log_eq_terms, split_evalue
+from .evalue import _log_eq_terms, _require_interior, _split_log_e
 from .hl import hl_test
-from .numeric import exp_clamped, expit_array, logit, logsumexp, solve_linear_3x3
+from .numeric import (
+    _thread_spans,
+    exp_clamped,
+    expit_array,
+    logit,
+    logsumexp,
+    solve_linear_3x3,
+)
 
 ANCHOR_OFFSET = 0.00733745
 ANCHOR_X = (-3.0, -1.5, 3.0)
@@ -219,13 +226,15 @@ class PowerStudyReport:
         meta = json.dumps(self.config.to_json_dict(), sort_keys=True)
         lines = [
             f"# ehl simulate version={__version__} seed={self.config.seed} config={meta}",
-            "j,n,s,variant,rep_count,reject_rate,mean_log_e",
+            "j,n,s,variant,rep_count,reject_rate,mean_log_e,failures,se_log_e",
         ]
         for c in self.cells:
             s_txt = "" if c.s is None else repr(c.s)
             mle_txt = "" if c.mean_log_e is None else repr(c.mean_log_e)
+            se_txt = "" if c.se_log_e is None else repr(c.se_log_e)
             lines.append(
-                f"{c.j!r},{c.n},{s_txt},{c.variant},{c.rep_count},{c.reject_rate!r},{mle_txt}"
+                f"{c.j!r},{c.n},{s_txt},{c.variant},{c.rep_count},{c.reject_rate!r},"
+                f"{mle_txt},{c.failures},{se_txt}"
             )
         return "\n".join(lines) + "\n"
 
@@ -234,17 +243,6 @@ class PowerStudyReport:
             "config": self.config.to_json_dict(),
             "cells": [c.to_json_dict() for c in self.cells],
         }
-
-
-def _oracle_split_log_e(
-    terms: np.ndarray, n: int, s: float, B: int, key: tuple[int, ...]
-) -> float:
-    per = np.empty(B)
-    for b in range(B):
-        rng = np.random.default_rng([*key, b])
-        _, hold = split_indices(n, s, rng)
-        per[b] = float(np.sum(terms[hold]))
-    return logsumexp(per) - math.log(B)
 
 
 def run_power_study(config: SimulationConfig) -> PowerStudyReport:
@@ -267,15 +265,11 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
                 for r in range(lo, hi):
                     rep_results[r] = _one_rep(config, model, n, ji, ni, r)
 
-            if config.threads == 1:
+            spans = _thread_spans(config.reps, config.threads, n)
+            if len(spans) == 1:
                 run(0, config.reps)
             else:
-                step = -(-config.reps // config.threads)
-                spans = [
-                    (lo, min(lo + step, config.reps))
-                    for lo in range(0, config.reps, step)
-                ]
-                with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                with ThreadPoolExecutor(max_workers=len(spans)) as pool:
                     for _ in pool.map(lambda span: run(*span), spans):
                         pass
 
@@ -306,29 +300,33 @@ def _one_rep(
     predicted = validation.with_p(expit_array(b0 + b1 * validation.x))
 
     out: dict = {}
-    for variant in config.variants:
-        if variant == "hl":
-            rep = hl_test(
-                predicted, config.hl_method, config.hl_bins, config.estimated_in_sample
-            )
-            out[(variant, None)] = (rep.p_value <= config.alpha, None)
-        elif variant == "ehl":
-            for si, s in enumerate(config.s_values):
-                rep = split_evalue(
-                    predicted,
-                    s,
-                    config.B,
-                    seed=(config.seed, 1, ji, ni, r, si),
-                    threshold=config.threshold,
-                )
-                out[(variant, s)] = (rep.reject_at_20, rep.log_e)
-        else:  # oracle
-            terms = _log_eq_terms(predicted.p, predicted.y, predicted.pi_bar)
-            for si, s in enumerate(config.s_values):
-                log_e = _oracle_split_log_e(
-                    terms, n, s, config.B, (config.seed, 1, ji, ni, r, si)
-                )
-                out[(variant, s)] = (exp_clamped(log_e) > config.threshold, log_e)
+    if "hl" in config.variants:
+        rep = hl_test(
+            predicted, config.hl_method, config.hl_bins, config.estimated_in_sample
+        )
+        out[("hl", None)] = (rep.p_value <= config.alpha, None)
+    per = {v: np.empty(config.B) for v in ("ehl", "oracle") if v in config.variants}
+    if not per:
+        return out
+    if "ehl" in per:
+        _require_interior(predicted)
+    terms = None
+    if "oracle" in per:
+        terms = _log_eq_terms(predicted.p, predicted.y, predicted.pi_bar)
+    for si, s in enumerate(config.s_values):
+        # one draw of each split serves both e-values, so they stay paired
+        run = _split_log_e(
+            predicted,
+            s,
+            (config.seed, 1, ji, ni, r, si),
+            per.get("ehl"),
+            terms,
+            per.get("oracle"),
+        )
+        run(0, config.B)
+        for variant, values in per.items():
+            log_e = logsumexp(values) - math.log(config.B)
+            out[(variant, s)] = (exp_clamped(log_e) > config.threshold, log_e)
     return out
 
 

@@ -352,7 +352,7 @@ class TestSimulate:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("# ehl simulate version=")
-        assert lines[1] == "j,n,s,variant,rep_count,reject_rate,mean_log_e"
+        assert lines[1] == "j,n,s,variant,rep_count,reject_rate,mean_log_e,failures,se_log_e"
         assert len(lines) == 2 + 4
         variants = [ln.split(",")[3] for ln in lines[2:]]
         assert variants.count("ehl") == 2 and variants.count("hl") == 2

@@ -18,8 +18,9 @@ from ehl import (
     pava_fit,
     sequential_evalue,
     split_evalue,
+    split_indices,
 )
-from ehl.evalue import EXACT_N_LIMIT
+from ehl.evalue import EXACT_N_LIMIT, _split_log_e
 
 from helpers import (
     exact_reference,
@@ -406,15 +407,17 @@ class TestSplit:
         assert report.log_e == pytest.approx(expect, rel=1e-15)
         assert report.path is None
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, forced_pool):
         rng = np.random.default_rng(20)
         p = rng.uniform(0.05, 0.95, size=40)
         y = (rng.random(40) < p).astype(int)
         ss = _samples(p, y)
         one = split_evalue(ss, 0.5, 23, seed=5, threads=1)
+        assert forced_pool == []
         three = split_evalue(ss, 0.5, 23, seed=5, threads=3)
+        assert forced_pool == [3]
         assert one.log_e == three.log_e
-        assert one.per_split_log_e == three.per_split_log_e
+        assert np.array_equal(_bits(one.per_split_log_e), _bits(three.per_split_log_e))
 
     def test_unit_expectation_under_null(self):
         # exact over all 2^5 outcomes, for a fixed split randomization
@@ -448,6 +451,29 @@ class TestSplit:
             split_evalue(ss, 0.5, 4, seed=0, threads=0)
         with pytest.raises(BoundaryForecastError):
             split_evalue(_samples([0.0, 0.5], [0, 1]), 0.5, 4, seed=0)
+
+    def test_one_draw_serves_the_fitted_and_the_oracle_value(self):
+        # the oracle sum over each holdout equals a fresh draw of the same
+        # split, and the fitted values equal split_evalue's, whether or not
+        # the other value is taken
+        rng = np.random.default_rng(21)
+        n, B, key = 50, 12, (3, 1, 0, 2)
+        p = rng.uniform(0.05, 0.95, size=n)
+        y = (rng.random(n) < p).astype(int)
+        oracle_terms = rng.normal(size=n)
+        ss = _samples(p, y)
+        fitted, oracle = np.empty(B), np.empty(B)
+        _split_log_e(ss, 1 / 3, key, fitted, oracle_terms, oracle)(0, B)
+        alone = np.empty(B)
+        _split_log_e(ss, 1 / 3, key, None, oracle_terms, alone)(0, B)
+        redrawn = []
+        for b in range(B):
+            _, hold = split_indices(n, 1 / 3, np.random.default_rng([*key, b]))
+            redrawn.append(float(np.sum(oracle_terms[hold])))
+        assert np.array_equal(_bits(oracle), _bits(redrawn))
+        assert np.array_equal(_bits(alone), _bits(redrawn))
+        report = split_evalue(ss, 1 / 3, B, seed=key)
+        assert np.array_equal(_bits(fitted), _bits(report.per_split_log_e))
 
 
 class TestReporting:

@@ -1,10 +1,29 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ehl import InputError, chisq_sf, expit, logit, solve_linear_3x3
-from ehl.numeric import exp_clamped, expit_array, logsumexp, seed_key
+from ehl import (
+    InputError,
+    SampleSet,
+    SimulationConfig,
+    bagged_recalibrate,
+    chisq_sf,
+    expit,
+    logit,
+    run_power_study,
+    solve_linear_3x3,
+    split_evalue,
+)
+from ehl.numeric import (
+    _THREAD_MIN_N,
+    _thread_spans,
+    exp_clamped,
+    expit_array,
+    logsumexp,
+    seed_key,
+)
 
 from helpers import chi2_sf_quad
 
@@ -118,3 +137,50 @@ class TestLogSumExp:
         assert exp_clamped(800.0) == math.inf
         assert exp_clamped(-math.inf) == 0.0
         assert exp_clamped(0.0) == 1.0
+
+
+def _small_sample():
+    rng = np.random.default_rng(4)
+    p = rng.uniform(0.1, 0.9, size=24)
+    return SampleSet(p, (rng.random(24) < p).astype(int))
+
+
+class TestThreadSpans:
+    def test_one_span_below_the_size_floor(self):
+        assert _thread_spans(10, 4, _THREAD_MIN_N - 1) == [(0, 10)]
+
+    def test_spans_cover_the_replicates_in_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _thread_spans(10, 4, _THREAD_MIN_N) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert _thread_spans(3, 8, _THREAD_MIN_N) == [(0, 1), (1, 2), (2, 3)]
+        assert _thread_spans(7, 1, _THREAD_MIN_N) == [(0, 7)]
+
+    def test_workers_capped_at_the_core_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _thread_spans(10**4, 10**4, 10**6) == [(0, 5000), (5000, 10**4)]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda threads: split_evalue(_small_sample(), 0.5, 4, seed=0, threads=threads),
+            lambda threads: bagged_recalibrate(_small_sample(), 4, seed=0, threads=threads),
+            lambda threads: run_power_study(
+                SimulationConfig(
+                    j_values=(0.0,),
+                    n_values=(32,),
+                    s_values=(0.5,),
+                    variants=("ehl",),
+                    reps=4,
+                    B=2,
+                    threads=threads,
+                )
+            ),
+        ],
+        ids=["split_evalue", "bagged_recalibrate", "run_power_study"],
+    )
+    def test_huge_thread_count_starts_a_worker_per_core_at_most(self, pool_workers, run):
+        # four replicates, so that even an uncapped pool starts four threads
+        run(10**6)
+        cores = os.cpu_count()
+        assert all(w <= cores for w in pool_workers)
+        assert pool_workers == ([min(cores, 4)] if cores > 1 else [])

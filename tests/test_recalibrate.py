@@ -157,12 +157,15 @@ class TestBagged:
             manual += np.interp(pts, fit.knots, fit.values)
         assert np.array_equal(curve.apply(pts), manual / 7)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, forced_pool):
         ss = _calibrated(90, seed=9)
         one = bagged_recalibrate(ss, n_bags=13, seed=5, threads=1)
+        assert forced_pool == []
         three = bagged_recalibrate(ss, n_bags=13, seed=5, threads=3)
-        assert np.array_equal(one.mean, three.mean)
-        assert np.array_equal(one.q_high, three.q_high)
+        assert forced_pool == [3]
+        assert one.to_csv() == three.to_csv()
+        grid = np.linspace(0.0, 1.0, 101)
+        assert one.apply(grid).tobytes() == three.apply(grid).tobytes()
 
     def test_smoother_than_single_fit(self):
         # bagging averages staircase jumps away: the largest grid increment

@@ -238,30 +238,46 @@ class TestPowerStudy:
             assert cell.failures == 0
             assert cell.rep_count == 30
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, forced_pool):
         a = run_power_study(self._config())
         b = run_power_study(self._config())
+        assert forced_pool == []
         c = run_power_study(self._config(threads=3))
+        # one pool per (j, n) cell
+        assert forced_pool == [3, 3]
         assert a.to_csv() == b.to_csv() == c.to_csv()
         d = run_power_study(self._config(seed=12))
         assert d.to_csv() != a.to_csv()
+
+    def test_variants_do_not_change_each_other(self):
+        # one draw of each split serves the feasible and the oracle e-value;
+        # a study of either alone gives the same cells bit for bit
+        every = run_power_study(self._config())
+        for variant in ("ehl", "hl", "oracle"):
+            alone = run_power_study(self._config(variants=(variant,)))
+            for cell in alone.cells:
+                want = every.cell(cell.j, cell.n, variant, cell.s)
+                assert json.dumps(cell.to_json_dict()) == json.dumps(want.to_json_dict())
 
     def test_csv_layout(self):
         report = run_power_study(self._config(j_values=(0.1,), reps=10))
         lines = report.to_csv().splitlines()
         assert lines[0].startswith("# ehl simulate version=")
         assert "seed=11" in lines[0]
-        assert lines[1] == "j,n,s,variant,rep_count,reject_rate,mean_log_e"
+        assert lines[1] == "j,n,s,variant,rep_count,reject_rate,mean_log_e,failures,se_log_e"
         assert len(lines) == 2 + 3
         by_variant = {ln.split(",")[3]: ln.split(",") for ln in lines[2:]}
         assert set(by_variant) == {"ehl", "hl", "oracle"}
-        # hl rows leave the split fraction and mean log e empty
+        # hl rows leave the split fraction and the log e columns empty
         assert by_variant["hl"][2] == "" and by_variant["hl"][6] == ""
+        assert by_variant["hl"][8] == ""
         assert by_variant["ehl"][2] == "0.5"
         assert float(by_variant["ehl"][0]) == 0.1
         cell = report.cell(0.1, 64, "ehl", 0.5)
         assert float(by_variant["ehl"][5]) == cell.reject_rate
         assert float(by_variant["ehl"][6]) == cell.mean_log_e
+        assert int(by_variant["ehl"][7]) == cell.failures
+        assert float(by_variant["ehl"][8]) == cell.se_log_e
 
     def test_json_roundtrip(self):
         report = run_power_study(self._config(j_values=(0.0,), reps=8))
