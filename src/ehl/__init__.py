@@ -40,10 +40,6 @@ from .hl import (
     Binning,
     HLReport,
     SweepResult,
-    bin_equal_count,
-    bin_equidistant,
-    bin_quantile,
-    hl_pvalue,
     hl_statistic,
     hl_sweep,
     hl_test,
@@ -95,12 +91,8 @@ __all__ = [
     "Binning",
     "HLReport",
     "SweepResult",
-    "bin_equidistant",
-    "bin_quantile",
-    "bin_equal_count",
     "make_binning",
     "hl_statistic",
-    "hl_pvalue",
     "hl_test",
     "hl_sweep",
     "IsotonicFit",

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -289,8 +289,3 @@ def split_indices(
     perm = rng.permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 
-
-def bernoulli(p: Iterable[float], rng: np.random.Generator) -> np.ndarray:
-    """Outcomes y_i ~ Bernoulli(p_i), one uniform per observation."""
-    arr = np.asarray(p, dtype=float)
-    return (rng.random(arr.shape) < arr).astype(np.int64)

@@ -41,7 +41,7 @@ from .isotonic import (
     _pool_blocks,
     _smoothed_values,
 )
-from .numeric import _thread_spans, exp_clamped, logsumexp, seed_key
+from .numeric import _replicates, exp_clamped, logsumexp, seed_key
 
 DEFAULT_THRESHOLD = 20.0
 # largest sample the exact variant accepts, whatever n_max is: n = 14 visits
@@ -265,26 +265,24 @@ def exact_symmetrized_evalue(
 def _split_log_e(
     samples: SampleSet,
     s: float,
-    key: tuple[int, ...],
-    fitted: np.ndarray | None,
+    fit: bool,
     oracle_terms: np.ndarray | None = None,
-    oracle: np.ndarray | None = None,
-) -> Callable[[int, int], None]:
-    """The split replicate loop over one sample, as run(lo, hi).
+) -> Callable[[int, np.random.Generator], tuple[float | None, float | None]]:
+    """One split replicate over one sample, as body(b, rng) for _replicates.
 
-    Replicate b draws its split from the generator seeded by (*key, b).
-    With fitted given, it fits the Laplace-smoothed isotonic curve on the
-    estimation part and stores the holdout's log likelihood ratio in
-    fitted[b]. With oracle given, it stores the sum of oracle_terms over the
-    same holdout in oracle[b]. So one draw serves both e-values, and neither
-    value depends on whether the other is taken.
+    The body draws its split from rng and returns (fitted, oracle). With
+    fit, fitted is the holdout's log likelihood ratio against the
+    Laplace-smoothed isotonic curve fitted on the estimation part; with
+    oracle_terms, oracle is their sum over the same holdout. Either is None
+    when not asked for. So one draw serves both e-values, and neither value
+    depends on whether the other is taken.
     """
     n = len(samples)
     # validate the split geometry once, with the rule split_indices applies
     _train_size(n, s)
     p = samples.p
     y = samples.y
-    if fitted is not None:
+    if fit:
         order = np.argsort(p, kind="stable")
         ps = p[order]
         ys = y[order]
@@ -293,27 +291,23 @@ def _split_log_e(
         logp = np.log(p)
         log1mp = np.log1p(-p)
 
-    def run(lo: int, hi: int) -> None:
-        mask = np.empty(n, dtype=bool)
-        for b in range(lo, hi):
-            rng = np.random.default_rng([*key, b])
-            train, hold = split_indices(n, s, rng)
-            if oracle is not None:
-                oracle[b] = float(np.sum(oracle_terms[hold]))
-            if fitted is None:
-                continue
-            mask[:] = False
-            mask[pos[train]] = True
-            knots, w, sums = _merge_sorted(ps[mask], ys[mask])
-            smoothed = _smoothed_values(*_pool_blocks(w, sums))
-            q = np.interp(p[hold], knots, smoothed)
-            yh = y[hold]
-            terms = np.where(
-                yh == 1, np.log(q) - logp[hold], np.log1p(-q) - log1mp[hold]
-            )
-            fitted[b] = float(np.sum(terms))
+    def body(b: int, rng: np.random.Generator) -> tuple[float | None, float | None]:
+        train, hold = split_indices(n, s, rng)
+        oracle = None if oracle_terms is None else float(np.sum(oracle_terms[hold]))
+        if not fit:
+            return None, oracle
+        mask = np.zeros(n, dtype=bool)
+        mask[pos[train]] = True
+        knots, w, sums = _merge_sorted(ps[mask], ys[mask])
+        smoothed = _smoothed_values(*_pool_blocks(w, sums))
+        q = np.interp(p[hold], knots, smoothed)
+        yh = y[hold]
+        terms = np.where(
+            yh == 1, np.log(q) - logp[hold], np.log1p(-q) - log1mp[hold]
+        )
+        return float(np.sum(terms)), oracle
 
-    return run
+    return body
 
 
 def split_evalue(
@@ -343,16 +337,11 @@ def split_evalue(
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
     key = seed_key(seed)
-    per_split = np.empty(B)
-    run = _split_log_e(samples, s, key, per_split)
-    spans = _thread_spans(B, threads, n)
-    if len(spans) == 1:
-        run(0, B)
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            for _ in pool.map(lambda span: run(*span), spans):
-                pass
-
+    body = _split_log_e(samples, s, fit=True)
+    replicates = _replicates(
+        key, B, body, threads=threads, n=n, pool=ThreadPoolExecutor
+    )
+    per_split = np.array([fitted for fitted, _ in replicates])
     log_e = logsumexp(per_split) - math.log(B)
     return EValueReport.from_log(
         "split",
@@ -360,6 +349,6 @@ def split_evalue(
         threshold=threshold,
         s=float(s),
         B=int(B),
-        seed=seed if isinstance(seed, int) else tuple(int(v) for v in seed),
+        seed=key[0] if isinstance(seed, (int, np.integer)) else key,
         per_split_log_e=tuple(float(v) for v in per_split),
     )

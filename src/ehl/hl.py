@@ -241,37 +241,6 @@ def make_binning(samples: SampleSet, method: str, g: int) -> Binning:
     return Binning(method, g, tuple(np.sort(order[a:b]) for a, b in pairs))
 
 
-def bin_equidistant(samples: SampleSet, g: int) -> Binning:
-    """g intervals of equal width spanning [min p, max p]."""
-    return make_binning(samples, "E", g)
-
-
-def bin_quantile(samples: SampleSet, g: int, side: str = "left") -> Binning:
-    """Bins cut at the k/g sample quantiles of the forecasts.
-
-    Duplicate cut points collapse, so g_realized can be below g. side
-    chooses where a forecast lying exactly on a cut point goes.
-    """
-    _check_g(g)
-    if side not in ("left", "right"):
-        raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    return make_binning(samples, "QL" if side == "left" else "QR", g)
-
-
-def bin_equal_count(samples: SampleSet, g: int, tie_order: str = "ascending") -> Binning:
-    """Equal-count bins of the sorted forecasts.
-
-    Equal forecasts are ordered by outcome (ascending or descending, then
-    original index), which is what distinguishes the two variants; with no
-    ties they coincide. The r = n mod g oversized bins sit at positions
-    ceil((2t - 1) g / (2 r)) for t = 1..r.
-    """
-    _check_g(g)
-    if tie_order not in ("ascending", "descending"):
-        raise InputError(f"tie_order must be 'ascending' or 'descending', got {tie_order!r}")
-    return make_binning(samples, "Qplus" if tie_order == "ascending" else "Qminus", g)
-
-
 def _chi_square(table: Sequence[tuple[float, ...]], stacklevel: int = 3) -> float:
     total = 0.0
     for count, o1, e1, o0, e0 in table:
@@ -308,16 +277,6 @@ def _dof(g_realized: int, estimated_in_sample: bool) -> int:
             f"{g_realized} realized bins leave {dof} degrees of freedom"
         )
     return dof
-
-
-def hl_pvalue(statistic: float, g_realized: int, estimated_in_sample: bool = False) -> float:
-    """Chi-square upper tail at the statistic.
-
-    Degrees of freedom are g_realized for out-of-sample forecasts and
-    g_realized - 2 when the forecast model was fit on the same data; fewer
-    than one degree of freedom is an error.
-    """
-    return chisq_sf(statistic, _dof(g_realized, estimated_in_sample))
 
 
 def _report(

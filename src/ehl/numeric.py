@@ -1,5 +1,7 @@
 """Numerical building blocks: stable link functions, log-space sums,
-chi-square tail probabilities, small linear solves, and seed normalization.
+chi-square tail probabilities, small linear solves, seed normalization, and
+the replicate runner that seeds, chunks and threads every loop of random
+replicates (splits, bootstrap bags and power-study replications).
 
 The chi-square survival function is computed from the regularized upper
 incomplete gamma function with the classic two-regime scheme: a power series
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -172,12 +174,39 @@ def _thread_spans(count: int, threads: int, n: int) -> list[tuple[int, int]]:
     Replicates on a sample of fewer than _THREAD_MIN_N observations are
     mostly interpreter work, which threads only contend for, so they get
     one span. Otherwise there are at most min(threads, cores) spans of
-    near-equal size. Callers seed each replicate by its index, so the spans
-    never change a result.
+    near-equal size. _replicates seeds each replicate by its index, so the
+    spans never change a result.
     """
     workers = 1 if n < _THREAD_MIN_N else min(threads, os.cpu_count() or 1, count)
     step = -(-count // workers)
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _replicates(
+    key: tuple[int, ...],
+    count: int,
+    body: Callable[[int, np.random.Generator], Any],
+    *,
+    threads: int = 1,
+    n: int = 0,
+    pool: type,
+) -> list:
+    """[body(b, default_rng([*key, b])) for b in range(count)], in index order.
+
+    Replicate b draws only from its own generator, so the result does not
+    depend on how the replicates are spread over threads. The spans come
+    from _thread_spans(count, threads, n); when there is more than one, they
+    run on the caller's ThreadPoolExecutor, passed as pool, one worker per span.
+    """
+
+    def chunk(span: tuple[int, int]) -> list:
+        return [body(b, np.random.default_rng([*key, b])) for b in range(*span)]
+
+    spans = _thread_spans(count, threads, n)
+    if len(spans) == 1:
+        return chunk(spans[0])
+    with pool(max_workers=len(spans)) as workers:
+        return [out for part in workers.map(chunk, spans) for out in part]
 
 
 def seed_key(seed: int | Sequence[int]) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ import numpy as np
 from .data import SampleSet
 from .errors import InputError
 from .isotonic import SmoothedFit, laplace_smooth, pava_fit
-from .numeric import _thread_spans, seed_key
+from .numeric import _replicates, seed_key
 
 DEFAULT_BAGS = 100
 DEFAULT_BAND = (0.01, 0.99)
@@ -125,22 +125,12 @@ def bagged_recalibrate(
         raise InputError(f"band levels must satisfy 0 <= low < high <= 1, got {band}")
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
-    key = seed_key(seed)
     n = len(recal)
-    fits: list[SmoothedFit | None] = [None] * n_bags
 
-    def run(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            rng = np.random.default_rng([*key, b])
-            idx = rng.integers(0, n, size=n)
-            fits[b] = laplace_smooth(pava_fit(recal.take(idx)))
+    def bag(b: int, rng: np.random.Generator) -> SmoothedFit:
+        return laplace_smooth(pava_fit(recal.take(rng.integers(0, n, size=n))))
 
-    spans = _thread_spans(n_bags, threads, n)
-    if len(spans) == 1:
-        run(0, n_bags)
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            for _ in pool.map(lambda span: run(*span), spans):
-                pass
-
+    fits = _replicates(
+        seed_key(seed), n_bags, bag, threads=threads, n=n, pool=ThreadPoolExecutor
+    )
     return _curve_from_fits(tuple(fits), band, grid_size)

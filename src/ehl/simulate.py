@@ -21,6 +21,7 @@ estimation scheme could achieve.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,7 @@ from .errors import FitError, InputError
 from .evalue import _log_eq_terms, _require_interior, _split_log_e
 from .hl import hl_test
 from .numeric import (
-    _thread_spans,
+    _replicates,
     exp_clamped,
     expit_array,
     logit,
@@ -259,20 +260,14 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
     for ji, j in enumerate(config.j_values):
         model = solve_quadratic_betas(j)
         for ni, n in enumerate(config.n_values):
-            rep_results: list[dict | None] = [None] * config.reps
-
-            def run(lo: int, hi: int, ji=ji, ni=ni, model=model, n=n) -> None:
-                for r in range(lo, hi):
-                    rep_results[r] = _one_rep(config, model, n, ji, ni, r)
-
-            spans = _thread_spans(config.reps, config.threads, n)
-            if len(spans) == 1:
-                run(0, config.reps)
-            else:
-                with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-                    for _ in pool.map(lambda span: run(*span), spans):
-                        pass
-
+            rep_results = _replicates(
+                (config.seed, 0, ji, ni),
+                config.reps,
+                functools.partial(_one_rep, config, model, n, ji, ni),
+                threads=config.threads,
+                n=n,
+                pool=ThreadPoolExecutor,
+            )
             failures = sum(1 for res in rep_results if res is None)
             for variant in config.variants:
                 if variant == "hl":
@@ -284,9 +279,14 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
 
 
 def _one_rep(
-    config: SimulationConfig, model: QuadraticModel, n: int, ji: int, ni: int, r: int
+    config: SimulationConfig,
+    model: QuadraticModel,
+    n: int,
+    ji: int,
+    ni: int,
+    r: int,
+    rng: np.random.Generator,
 ) -> dict | None:
-    rng = np.random.default_rng([config.seed, 0, ji, ni, r])
     data = generate_data(2 * n, model, rng)
     estimation = data.take(np.arange(n))
     validation = data.take(np.arange(n, 2 * n))
@@ -305,28 +305,25 @@ def _one_rep(
             predicted, config.hl_method, config.hl_bins, config.estimated_in_sample
         )
         out[("hl", None)] = (rep.p_value <= config.alpha, None)
-    per = {v: np.empty(config.B) for v in ("ehl", "oracle") if v in config.variants}
-    if not per:
+    fit = "ehl" in config.variants
+    if not fit and "oracle" not in config.variants:
         return out
-    if "ehl" in per:
+    if fit:
         _require_interior(predicted)
     terms = None
-    if "oracle" in per:
+    if "oracle" in config.variants:
         terms = _log_eq_terms(predicted.p, predicted.y, predicted.pi_bar)
     for si, s in enumerate(config.s_values):
         # one draw of each split serves both e-values, so they stay paired
-        run = _split_log_e(
-            predicted,
-            s,
-            (config.seed, 1, ji, ni, r, si),
-            per.get("ehl"),
-            terms,
-            per.get("oracle"),
+        body = _split_log_e(predicted, s, fit, terms)
+        replicates = _replicates(
+            (config.seed, 1, ji, ni, r, si), config.B, body, pool=ThreadPoolExecutor
         )
-        run(0, config.B)
-        for variant, values in per.items():
-            log_e = logsumexp(values) - math.log(config.B)
-            out[(variant, s)] = (exp_clamped(log_e) > config.threshold, log_e)
+        fitted, oracle = zip(*replicates)
+        for variant, values in (("ehl", fitted), ("oracle", oracle)):
+            if variant in config.variants:
+                log_e = logsumexp(values) - math.log(config.B)
+                out[(variant, s)] = (exp_clamped(log_e) > config.threshold, log_e)
     return out
 
 

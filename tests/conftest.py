@@ -12,10 +12,9 @@ POOL_MODULES = (ehl.evalue, ehl.recalibrate, ehl.simulate)
 
 
 @pytest.fixture
-def pool_workers(monkeypatch):
+def recorded_pools(monkeypatch):
     """The max_workers of every thread pool the split, bagging and study
-    loops start, in order. The sample-size floor for threads is lowered to
-    1, so that small test samples may use them."""
+    loops start, in order."""
     started = []
 
     class RecordingExecutor(ThreadPoolExecutor):
@@ -25,8 +24,15 @@ def pool_workers(monkeypatch):
 
     for module in POOL_MODULES:
         monkeypatch.setattr(module, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(ehl.numeric, "_THREAD_MIN_N", 1)
     return started
+
+
+@pytest.fixture
+def pool_workers(recorded_pools, monkeypatch):
+    """recorded_pools with the sample-size floor for threads lowered to 1,
+    so that small test samples may use them."""
+    monkeypatch.setattr(ehl.numeric, "_THREAD_MIN_N", 1)
+    return recorded_pools
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from ehl import (
     load_samples,
     split_indices,
 )
-from ehl.data import bernoulli, samples_to_csv
+from ehl.data import samples_to_csv
 
 from helpers import load_rows_reference
 
@@ -339,15 +339,6 @@ class TestSplitIndices:
         a, _ = split_indices(10, 0.5, rng)
         b, _ = split_indices(10, 0.5, rng)
         assert not np.array_equal(a, b)
-
-
-def test_bernoulli_reproducible():
-    p = np.full(1000, 0.3)
-    y1 = bernoulli(p, np.random.default_rng(3))
-    y2 = bernoulli(p, np.random.default_rng(3))
-    assert np.array_equal(y1, y2)
-    assert set(np.unique(y1)) <= {0, 1}
-    assert 200 < y1.sum() < 400
 
 
 def test_array_holding_classes_compare_by_identity():

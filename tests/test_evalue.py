@@ -452,6 +452,16 @@ class TestSplit:
         with pytest.raises(BoundaryForecastError):
             split_evalue(_samples([0.0, 0.5], [0, 1]), 0.5, 4, seed=0)
 
+    def test_numpy_integer_seed_reports_like_the_equal_int(self):
+        rng = np.random.default_rng(24)
+        p = rng.uniform(0.1, 0.9, size=20)
+        ss = _samples(p, (rng.random(20) < p).astype(int))
+        a = split_evalue(ss, 0.5, 6, seed=np.int64(3))
+        b = split_evalue(ss, 0.5, 6, seed=3)
+        assert a == b
+        assert type(a.seed) is int
+        assert a.to_json_dict() == b.to_json_dict()
+
     def test_one_draw_serves_the_fitted_and_the_oracle_value(self):
         # the oracle sum over each holdout equals a fresh draw of the same
         # split, and the fitted values equal split_evalue's, whether or not
@@ -462,18 +472,24 @@ class TestSplit:
         y = (rng.random(n) < p).astype(int)
         oracle_terms = rng.normal(size=n)
         ss = _samples(p, y)
-        fitted, oracle = np.empty(B), np.empty(B)
-        _split_log_e(ss, 1 / 3, key, fitted, oracle_terms, oracle)(0, B)
-        alone = np.empty(B)
-        _split_log_e(ss, 1 / 3, key, None, oracle_terms, alone)(0, B)
+
+        def draw(fit, terms):
+            body = _split_log_e(ss, 1 / 3, fit, terms)
+            return [body(b, np.random.default_rng([*key, b])) for b in range(B)]
+
+        fitted, oracle = zip(*draw(True, oracle_terms))
+        fitted_alone, no_oracle = zip(*draw(True, None))
+        no_fit, oracle_alone = zip(*draw(False, oracle_terms))
+        assert set(no_oracle) == set(no_fit) == {None}
         redrawn = []
         for b in range(B):
             _, hold = split_indices(n, 1 / 3, np.random.default_rng([*key, b]))
             redrawn.append(float(np.sum(oracle_terms[hold])))
         assert np.array_equal(_bits(oracle), _bits(redrawn))
-        assert np.array_equal(_bits(alone), _bits(redrawn))
+        assert np.array_equal(_bits(oracle_alone), _bits(redrawn))
         report = split_evalue(ss, 1 / 3, B, seed=key)
         assert np.array_equal(_bits(fitted), _bits(report.per_split_log_e))
+        assert np.array_equal(_bits(fitted_alone), _bits(report.per_split_log_e))
 
 
 class TestReporting:

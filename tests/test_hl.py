@@ -11,10 +11,6 @@ from ehl import (
     DegreesOfFreedomError,
     InputError,
     SampleSet,
-    bin_equal_count,
-    bin_equidistant,
-    bin_quantile,
-    hl_pvalue,
     hl_statistic,
     hl_sweep,
     hl_test,
@@ -53,22 +49,22 @@ def _stat_oracle(samples, binning):
 
 class TestEquidistant:
     def test_empty_interior_bins_are_dropped(self):
-        b = bin_equidistant(_ss([0.1, 0.2, 0.9], [0, 0, 1]), 4)
+        b = make_binning(_ss([0.1, 0.2, 0.9], [0, 0, 1]), "E", 4)
         assert b.g_requested == 4
         assert b.g_realized == 2
         assert _bins_as_sets(b) == [{0, 1}, {2}]
 
     def test_cut_value_goes_left(self):
-        b = bin_equidistant(_ss([0.1, 0.5, 0.9], [0, 0, 1]), 2)
+        b = make_binning(_ss([0.1, 0.5, 0.9], [0, 0, 1]), "E", 2)
         assert _bins_as_sets(b) == [{0, 1}, {2}]
 
     def test_constant_forecasts_collapse_to_one_bin(self):
-        b = bin_equidistant(_ss([0.4] * 5, [0, 1, 0, 1, 0]), 5)
+        b = make_binning(_ss([0.4] * 5, [0, 1, 0, 1, 0]), "E", 5)
         assert b.g_realized == 1
         assert _bins_as_sets(b) == [{0, 1, 2, 3, 4}]
 
     def test_full_range_forecasts(self):
-        b = bin_equidistant(_ss([0.0, 0.5, 1.0], [0, 0, 1]), 2)
+        b = make_binning(_ss([0.0, 0.5, 1.0], [0, 0, 1]), "E", 2)
         assert _bins_as_sets(b) == [{0, 1}, {2}]
 
     def test_partition(self):
@@ -78,7 +74,7 @@ class TestEquidistant:
             p = rng.random(n)
             y = (rng.random(n) < p).astype(int)
             g = int(rng.integers(1, n + 10))
-            b = bin_equidistant(_ss(p, y), g)
+            b = make_binning(_ss(p, y), "E", g)
             flat = np.concatenate(b.bins)
             assert sorted(flat) == list(range(n))
             # bins are ordered by forecast value
@@ -89,21 +85,21 @@ class TestEquidistant:
 
 class TestQuantile:
     def test_median_cut(self):
-        b = bin_quantile(_ss([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1]), 2)
+        b = make_binning(_ss([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1]), "QL", 2)
         assert b.g_realized == 2
         assert _bins_as_sets(b) == [{0, 1}, {2, 3}]
 
     def test_side_decides_ties_with_cut(self):
         # the g = 2 cut of (0.1, 0.25, 0.4) lands exactly on 0.25
         ss = _ss([0.1, 0.25, 0.4], [0, 1, 1])
-        left = bin_quantile(ss, 2, "left")
-        right = bin_quantile(ss, 2, "right")
+        left = make_binning(ss, "QL", 2)
+        right = make_binning(ss, "QR", 2)
         assert _bins_as_sets(left) == [{0, 1}, {2}]
         assert _bins_as_sets(right) == [{0}, {1, 2}]
         assert left.method == "QL" and right.method == "QR"
 
     def test_duplicate_cuts_collapse(self):
-        b = bin_quantile(_ss([0.5] * 4, [0, 1, 0, 1]), 2)
+        b = make_binning(_ss([0.5] * 4, [0, 1, 0, 1]), "QL", 2)
         assert b.g_realized == 1
 
     def test_cuts_match_quantile_definition(self):
@@ -118,13 +114,13 @@ class TestQuantile:
 
     def test_partition(self):
         rng = np.random.default_rng(7)
-        for side in ("left", "right"):
+        for method in ("QL", "QR"):
             for _ in range(15):
                 n = int(rng.integers(2, 60))
                 p = rng.random(n)
                 y = (rng.random(n) < p).astype(int)
                 g = int(rng.integers(1, n + 10))
-                b = bin_quantile(_ss(p, y), g, side)
+                b = make_binning(_ss(p, y), method, g)
                 assert sorted(np.concatenate(b.bins)) == list(range(n))
 
 
@@ -132,19 +128,19 @@ class TestEqualCount:
     def test_oversized_bin_positions(self):
         p = np.linspace(0.05, 0.95, 10)
         y = np.zeros(10, dtype=int)
-        b = bin_equal_count(_ss(p, y), 3)
+        b = make_binning(_ss(p, y), "Qplus", 3)
         assert [len(idx) for idx in b.bins] == [3, 4, 3]
 
     def test_remainder_spread(self):
         # n = 11, g = 4: two extras at ceil(4/8) = 1 and ceil(12/8) = 2
         p = np.linspace(0.05, 0.95, 11)
-        b = bin_equal_count(_ss(p, np.zeros(11, dtype=int)), 4)
+        b = make_binning(_ss(p, np.zeros(11, dtype=int)), "Qplus", 4)
         assert [len(idx) for idx in b.bins] == [3, 3, 2, 3]
 
     def test_tie_order_splits_equal_forecasts(self):
         ss = _ss([0.5, 0.5], [0, 1])
-        plus = bin_equal_count(ss, 2, "ascending")
-        minus = bin_equal_count(ss, 2, "descending")
+        plus = make_binning(ss, "Qplus", 2)
+        minus = make_binning(ss, "Qminus", 2)
         assert _bins_as_sets(plus) == [{0}, {1}]
         assert _bins_as_sets(minus) == [{1}, {0}]
         assert plus.method == "Qplus" and minus.method == "Qminus"
@@ -153,14 +149,14 @@ class TestEqualCount:
         rng = np.random.default_rng(9)
         p = rng.permutation(np.linspace(0.01, 0.99, 23))
         y = (rng.random(23) < p).astype(int)
-        a = bin_equal_count(_ss(p, y), 4, "ascending")
-        d = bin_equal_count(_ss(p, y), 4, "descending")
+        a = make_binning(_ss(p, y), "Qplus", 4)
+        d = make_binning(_ss(p, y), "Qminus", 4)
         assert _bins_as_sets(a) == _bins_as_sets(d)
 
     def test_tie_order_changes_statistic(self):
         ss = _ss([0.5, 0.5, 0.5, 0.2], [0, 1, 1, 0])
-        plus = bin_equal_count(ss, 2, "ascending")
-        minus = bin_equal_count(ss, 2, "descending")
+        plus = make_binning(ss, "Qplus", 2)
+        minus = make_binning(ss, "Qminus", 2)
         sp = hl_statistic(ss, plus)
         sm = hl_statistic(ss, minus)
         assert sp != sm
@@ -169,13 +165,13 @@ class TestEqualCount:
 
     def test_partition_and_sizes(self):
         rng = np.random.default_rng(10)
-        for order in ("ascending", "descending"):
+        for method in ("Qplus", "Qminus"):
             for _ in range(15):
                 n = int(rng.integers(2, 60))
                 p = rng.choice(np.linspace(0.1, 0.9, 9), size=n)
                 y = (rng.random(n) < p).astype(int)
                 g = int(rng.integers(1, n + 1))
-                b = bin_equal_count(_ss(p, y), g, order)
+                b = make_binning(_ss(p, y), method, g)
                 assert b.g_realized == g
                 sizes = sorted(len(idx) for idx in b.bins)
                 assert sizes[-1] - sizes[0] <= 1
@@ -230,7 +226,10 @@ class TestStatistic:
         with pytest.warns(RuntimeWarning):
             stat = hl_statistic(ss, make_binning(ss, "E", 1))
         assert stat == math.inf
-        assert hl_pvalue(stat, 1) == 0.0
+        with pytest.warns(RuntimeWarning):
+            report = hl_test(ss, "E", 1)
+        assert report.statistic == math.inf
+        assert report.p_value == 0.0
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(14)
@@ -260,21 +259,37 @@ class TestStatistic:
 
 
 class TestPvalue:
-    def test_pinned_critical_values(self):
-        assert hl_pvalue(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-6)
-        assert hl_pvalue(18.307038053275146, 10) == pytest.approx(0.05, abs=1e-4)
+    def test_closed_form_p_values(self):
+        # one bin, two successes at p = 1/2: C = 2 on one degree of freedom,
+        # whose tail is erfc(sqrt(C / 2))
+        one = hl_test(_ss([0.5, 0.5], [1, 1]), "E", 1)
+        assert (one.statistic, one.dof) == (2.0, 1)
+        assert one.p_value == pytest.approx(math.erfc(1.0), rel=1e-12)
+        # two bins of C = 6 each on two degrees of freedom, tail exp(-C / 2)
+        two = hl_test(_ss([0.25, 0.25, 0.75, 0.75], [1, 1, 0, 0]), "E", 2)
+        assert (two.statistic, two.dof) == (12.0, 2)
+        assert two.p_value == pytest.approx(math.exp(-6.0), rel=1e-12)
 
     def test_in_sample_costs_two_degrees(self):
-        assert hl_pvalue(5.0, 7, estimated_in_sample=True) == chisq_sf(5.0, 5)
-        assert hl_pvalue(5.0, 7) == chisq_sf(5.0, 7)
+        rng = np.random.default_rng(22)
+        p = rng.uniform(0.05, 0.95, size=70)
+        ss = _ss(p, (rng.random(70) < p).astype(int))
+        out = hl_test(ss, "QR", 7)
+        inside = hl_test(ss, "QR", 7, estimated_in_sample=True)
+        assert out.g_realized == inside.g_realized == 7
+        assert (out.dof, inside.dof) == (7, 5)
+        assert inside.statistic == out.statistic
+        assert out.p_value == chisq_sf(out.statistic, 7)
+        assert inside.p_value == chisq_sf(inside.statistic, 5)
 
     def test_too_few_bins(self):
+        ss = _ss([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1])
         with pytest.raises(DegreesOfFreedomError):
-            hl_pvalue(1.0, 2, estimated_in_sample=True)
+            hl_test(ss, "E", 2, estimated_in_sample=True)
         with pytest.raises(DegreesOfFreedomError):
-            hl_pvalue(1.0, 0)
-        hl_pvalue(1.0, 1)
-        hl_pvalue(1.0, 3, estimated_in_sample=True)
+            hl_test(ss, "E", 1, estimated_in_sample=True)
+        assert hl_test(ss, "E", 1).dof == 1
+        assert hl_test(ss, "E", 3, estimated_in_sample=True).dof == 1
 
 
 class TestHlTest:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -16,8 +17,10 @@ from ehl import (
     solve_linear_3x3,
     split_evalue,
 )
+import ehl.evalue
 from ehl.numeric import (
     _THREAD_MIN_N,
+    _replicates,
     _thread_spans,
     exp_clamped,
     expit_array,
@@ -139,10 +142,67 @@ class TestLogSumExp:
         assert exp_clamped(0.0) == 1.0
 
 
-def _small_sample():
+def _small_sample(n=24):
     rng = np.random.default_rng(4)
-    p = rng.uniform(0.1, 0.9, size=24)
-    return SampleSet(p, (rng.random(24) < p).astype(int))
+    p = rng.uniform(0.1, 0.9, size=n)
+    return SampleSet(p, (rng.random(n) < p).astype(int))
+
+
+def _first_draws(key, count):
+    return [(b, int(np.random.default_rng([*key, b]).integers(2**63))) for b in range(count)]
+
+
+def _first_draw(b, rng):
+    return b, int(rng.integers(2**63))
+
+
+# the three pool sites on a sample of exactly _THREAD_MIN_N observations,
+# each output as it is written out
+
+
+def _split_at_the_floor(threads):
+    report = split_evalue(_small_sample(_THREAD_MIN_N), 0.5, 4, seed=0, threads=threads)
+    return json.dumps(report.to_json_dict())
+
+
+def _bags_at_the_floor(threads):
+    curve = bagged_recalibrate(_small_sample(_THREAD_MIN_N), 4, seed=0, threads=threads)
+    return curve.to_csv(), curve.apply(np.linspace(0.0, 1.0, 97)).tobytes()
+
+
+def _study_at_the_floor(threads):
+    config = SimulationConfig(
+        j_values=(0.1,),
+        n_values=(_THREAD_MIN_N,),
+        s_values=(0.5,),
+        variants=("ehl", "hl", "oracle"),
+        reps=4,
+        B=2,
+        threads=threads,
+    )
+    return json.dumps(run_power_study(config).to_json_dict())
+
+
+class TestReplicates:
+    def test_one_span_in_index_order_on_each_replicates_stream(self):
+        key = (5, 0, 2)
+        got = _replicates(key, 7, _first_draw, pool=ehl.evalue.ThreadPoolExecutor)
+        assert got == _first_draws(key, 7)
+
+    def test_three_spans_on_a_pool_keep_index_order(self, forced_pool):
+        key = (5, 0, 2)
+        got = _replicates(
+            key, 7, _first_draw, threads=3, n=1, pool=ehl.evalue.ThreadPoolExecutor
+        )
+        assert forced_pool == [3]
+        assert got == _first_draws(key, 7)
+
+    def test_key_parts_of_2_to_the_32_or_more_keep_their_stream(self):
+        key = (2**32 + 5, 2**40)
+        got = _replicates(key, 3, _first_draw, pool=ehl.evalue.ThreadPoolExecutor)
+        assert got == _first_draws(key, 3)
+        # not the stream of the parts reduced modulo 2^32
+        assert got != _first_draws((5, 0), 3)
 
 
 class TestThreadSpans:
@@ -184,3 +244,18 @@ class TestThreadSpans:
         cores = os.cpu_count()
         assert all(w <= cores for w in pool_workers)
         assert pool_workers == ([min(cores, 4)] if cores > 1 else [])
+
+    @pytest.mark.parametrize(
+        "run",
+        [_split_at_the_floor, _bags_at_the_floor, _study_at_the_floor],
+        ids=["split_evalue", "bagged_recalibrate", "run_power_study"],
+    )
+    def test_two_threads_at_the_size_floor_run_one_pool(
+        self, recorded_pools, monkeypatch, run
+    ):
+        # the floor as shipped: a sample of exactly _THREAD_MIN_N observations
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = run(1)
+        assert recorded_pools == []
+        assert run(2) == serial
+        assert recorded_pools == [2]
