@@ -24,6 +24,10 @@ import numpy as np
 from .errors import DegenerateSplitError, InputError
 
 
+# rows that the CSV writer formats at once
+_DUMP_ROWS = 1024
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -233,21 +237,19 @@ def dump_samples(samples: SampleSet, dest: str | Path | IO[str]) -> None:
 
 
 def _dump(samples: SampleSet, fh: IO[str]) -> None:
-    columns = ["p", "y"]
-    x = getattr(samples, "x", None)
-    pi_bar = getattr(samples, "pi_bar", None)
-    if x is not None:
-        columns.append("x")
-    if pi_bar is not None:
-        columns.append("pi_bar")
-    fh.write(",".join(columns) + "\n")
-    for i in range(len(samples)):
-        cells = [repr(float(samples.p[i])), str(int(samples.y[i]))]
-        if x is not None:
-            cells.append(repr(float(x[i])))
-        if pi_bar is not None:
-            cells.append(repr(float(pi_bar[i])))
-        fh.write(",".join(cells) + "\n")
+    names = ["p", "y"]
+    columns = [(repr, samples.p), (str, samples.y)]
+    for name in ("x", "pi_bar"):
+        values = getattr(samples, name, None)
+        if values is not None:
+            names.append(name)
+            columns.append((repr, values))
+    fh.write(",".join(names) + "\n")
+    # formatted a column at a time, in blocks of rows so that the text held
+    # at once stays small
+    for lo in range(0, len(samples), _DUMP_ROWS):
+        cells = [map(form, col[lo:lo + _DUMP_ROWS].tolist()) for form, col in columns]
+        fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def samples_to_csv(samples: SampleSet) -> str:

@@ -16,7 +16,10 @@ and has expectation 1 whenever y is Bernoulli(p). Three tests build on it:
   in another order than a per-permutation sum, equal to 1e-12 relative.
 * split: repeated sample splitting; each replicate fits a Laplace-smoothed
   isotonic curve on a random estimation part and evaluates the product of
-  likelihood ratios on the holdout, and the replicates are averaged.
+  likelihood ratios on the holdout, and the replicates are averaged. The
+  replicates come in seeded runs of bounded size, and each run is fitted
+  in one batched numpy pass whose values are bit for bit those of
+  replicates fitted one at a time.
 
 All accumulation is in log space; results near 1e28 are ordinary. Large
 e-values are evidence against calibration: by Markov's inequality 1/e is
@@ -28,11 +31,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import SampleSet, _train_size, split_indices
+from .data import SampleSet, _train_size
 from .errors import BoundaryForecastError, ExactSizeError, InputError
 from .isotonic import (
     _PrefixBlocks,
@@ -267,45 +270,79 @@ def _split_log_e(
     s: float,
     fit: bool,
     oracle_terms: np.ndarray | None = None,
-) -> Callable[[int, np.random.Generator], tuple[float | None, float | None]]:
-    """One split replicate over one sample, as body(b, rng) for _replicates.
+) -> Callable[
+    [int, Iterable[np.random.Generator]], list[tuple[float | None, float | None]]
+]:
+    """Split replicates over one sample, as body(b0, rngs) for _replicates.
 
-    The body draws its split from rng and returns (fitted, oracle). With
-    fit, fitted is the holdout's log likelihood ratio against the
-    Laplace-smoothed isotonic curve fitted on the estimation part; with
-    oracle_terms, oracle is their sum over the same holdout. Either is None
-    when not asked for. So one draw serves both e-values, and neither value
-    depends on whether the other is taken.
+    Each replicate draws its split from its generator, as split_indices
+    does, and gives (fitted, oracle). With fit, fitted is the holdout's log
+    likelihood ratio against the Laplace-smoothed isotonic curve fitted on
+    the estimation part; with oracle_terms, oracle is their sum over the
+    same holdout. Either is None when not asked for. So one draw serves both
+    e-values, and neither value depends on whether the other is taken.
+
+    The replicates of a run are fitted together, one row each of a
+    c x n array: one pass finds every row's knots, one _pool_blocks call
+    pools them with a barrier at each row, and the holdout is interpolated
+    in sorted order, one np.interp per row. Every step is per element or
+    per row, and each row sums its terms in holdout index order, so every
+    value has the bits of a replicate fitted on its own.
     """
     n = len(samples)
     # validate the split geometry once, with the rule split_indices applies
-    _train_size(n, s)
-    p = samples.p
-    y = samples.y
+    k = _train_size(n, s)
+    h = n - k
     if fit:
+        p = samples.p
         order = np.argsort(p, kind="stable")
         ps = p[order]
-        ys = y[order]
+        ys = samples.y[order]
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n)
-        logp = np.log(p)
-        log1mp = np.log1p(-p)
+        log_ps = np.log(p)[order]
+        log1m_ps = np.log1p(-p)[order]
 
-    def body(b: int, rng: np.random.Generator) -> tuple[float | None, float | None]:
-        train, hold = split_indices(n, s, rng)
-        oracle = None if oracle_terms is None else float(np.sum(oracle_terms[hold]))
-        if not fit:
-            return None, oracle
-        mask = np.zeros(n, dtype=bool)
-        mask[pos[train]] = True
-        knots, w, sums = _merge_sorted(ps[mask], ys[mask])
-        smoothed = _smoothed_values(*_pool_blocks(w, sums))
-        q = np.interp(p[hold], knots, smoothed)
-        yh = y[hold]
-        terms = np.where(
-            yh == 1, np.log(q) - logp[hold], np.log1p(-q) - log1mp[hold]
+    def body(
+        b0: int, rngs: Iterable[np.random.Generator]
+    ) -> list[tuple[float | None, float | None]]:
+        train = np.stack([rng.permutation(n)[:k] for rng in rngs])
+        c = train.shape[0]
+        # row r of a flat c x n array starts at offs[r]
+        offs = np.arange(0, c * n, n)[:, None]
+        taken = np.zeros(c * n, dtype=bool)
+        taken[train + offs] = True
+        # each row's holdout in index order, as split_indices sorts it
+        hold = np.flatnonzero(~taken).reshape(c, h) - offs
+        oracle = (
+            [None] * c
+            if oracle_terms is None
+            else oracle_terms[hold].sum(axis=1).tolist()
         )
-        return float(np.sum(terms)), oracle
+        if not fit:
+            return list(zip([None] * c, oracle))
+        # the same masks in sorted-p order
+        taken[:] = False
+        taken[pos[train] + offs] = True
+        fit_at = np.flatnonzero(taken)
+        cols = (fit_at.reshape(c, k) - offs).ravel()
+        knots, w, sums = _merge_sorted(ps[cols], ys[cols], width=k)
+        first = (np.cumsum(w) - w) % k == 0
+        values = _smoothed_values(*_pool_blocks(w, sums, first))
+        cuts = np.append(np.flatnonzero(first), knots.shape[0]).tolist()
+        hold_at = np.flatnonzero(~taken)
+        hcols = hold_at.reshape(c, h) - offs
+        xs = ps[hcols]
+        q = np.empty((c, h))
+        for r in range(c):
+            a, b = cuts[r], cuts[r + 1]
+            q[r] = np.interp(xs[r], knots[a:b], values[a:b])
+        terms = np.empty(c * n)
+        terms[hold_at] = np.where(
+            ys[hcols] == 1, np.log(q) - log_ps[hcols], np.log1p(-q) - log1m_ps[hcols]
+        ).ravel()
+        fitted = terms[pos[hold] + offs].sum(axis=1).tolist()
+        return list(zip(fitted, oracle))
 
     return body
 

@@ -25,7 +25,9 @@ pooling adjacent violators in any order reaches the same unique isotonic
 solution (Best & Chakravarti 1990; de Leeuw, Hornik & Mair 2009), so every
 block has the same integer sum and count, hence the same float mean, as
 under the stack algorithm alone. The work is O(m) for m knots because the
-passes shrink the block count geometrically.
+passes shrink the block count geometrically. Several fits laid end to end
+pool in one call when a barrier marks each fit's first knot: no pass pools
+across a barrier, and the stack finishes each fit on its own.
 
 The out-of-sample value at a new point is defined through two augmented
 fits, one with an artificial success and one with an artificial failure
@@ -84,14 +86,21 @@ def _stack_pool(
     return bw, bs, bk
 
 
-def _pool_blocks(w: np.ndarray, s: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+def _pool_blocks(
+    w: np.ndarray, s: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[list[int], list[int], list[int]]:
     """Pooled blocks, given per-knot counts w and outcome sums s (int64, in
     knot order): Python-int lists of each block's count, outcome sum and
-    number of knots, in knot order, with strictly increasing means."""
+    number of knots, in knot order, with strictly increasing means.
+
+    rows, when given, is True at the first knot of each of several fits laid
+    end to end. No block pools across such a barrier, so each fit's blocks
+    are those it would get on its own.
+    """
     bw = np.asarray(w, dtype=np.int64)
     bs = np.asarray(s, dtype=np.int64)
     m = bw.shape[0]
-    if m <= _STACK_BLOCKS:
+    if m <= _STACK_BLOCKS and rows is None:
         return _stack_pool(bw.tolist(), bs.tolist(), [1] * m)
     bk = np.ones(m, dtype=np.int64)
     # Phase 1: pool every maximal run of adjacent violators at once. A block
@@ -100,18 +109,38 @@ def _pool_blocks(w: np.ndarray, s: np.ndarray) -> tuple[list[int], list[int], li
         new = np.empty(m, dtype=bool)
         new[0] = True
         np.less(bs[:-1] * bw[1:], bs[1:] * bw[:-1], out=new[1:])
+        if rows is not None:
+            new |= rows
         starts = np.flatnonzero(new)
         if starts.shape[0] == m:
             return bw.tolist(), bs.tolist(), bk.tolist()
         bw = np.add.reduceat(bw, starts)
         bs = np.add.reduceat(bs, starts)
         bk = np.add.reduceat(bk, starts)
+        if rows is not None:
+            rows = rows[starts]
         # a staircase under a heavy block shrinks by one block per pass
         if 2 * starts.shape[0] > m:
             break
         m = starts.shape[0]
     # Phase 2: the stack algorithm finishes on the surviving blocks.
-    return _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
+    if rows is None:
+        return _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
+    return _stack_pool_rows(bw, bs, bk, rows)
+
+
+def _stack_pool_rows(
+    bw: np.ndarray, bs: np.ndarray, bk: np.ndarray, rows: np.ndarray
+) -> tuple[list[int], list[int], list[int]]:
+    """Phase 2 of _pool_blocks over several fits: the stack algorithm on
+    each fit in turn, so that no pop crosses a barrier."""
+    cuts = np.append(np.flatnonzero(rows), bw.shape[0]).tolist()
+    lw, ls, lk = bw.tolist(), bs.tolist(), bk.tolist()
+    out: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for a, b in zip(cuts, cuts[1:]):
+        for pooled, part in zip(out, _stack_pool(lw[a:b], ls[a:b], lk[a:b])):
+            pooled += part
+    return out
 
 
 def _smoothed_values(bw, bs, bk) -> np.ndarray:
@@ -119,16 +148,22 @@ def _smoothed_values(bw, bs, bk) -> np.ndarray:
     return np.repeat(np.divide(np.add(0.5, bs), np.add(bw, 1.0)), bk)
 
 
-def _merge_sorted(ps: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _merge_sorted(
+    ps: np.ndarray, ys: np.ndarray, width: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse equal consecutive forecasts into knots.
 
     ps must be sorted ascending. Returns (knots, counts, sums) where counts
-    and sums are int64 per-knot observation counts and outcome sums.
+    and sums are int64 per-knot observation counts and outcome sums. With
+    width, ps holds several samples of width observations each, each sorted,
+    and every sample starts a knot of its own.
     """
     n = ps.shape[0]
     new = np.empty(n, dtype=bool)
     new[0] = True
     np.not_equal(ps[1:], ps[:-1], out=new[1:])
+    if width is not None:
+        new[::width] = True
     starts = np.flatnonzero(new)
     knots = ps[starts]
     counts = np.diff(np.append(starts, n)).astype(np.int64)

@@ -1,7 +1,10 @@
 """Numerical building blocks: stable link functions, log-space sums,
 chi-square tail probabilities, small linear solves, seed normalization, and
 the replicate runner that seeds, chunks and threads every loop of random
-replicates (splits, bootstrap bags and power-study replications).
+replicates (splits, bootstrap bags and power-study replications). It hands
+the replicates over in seeded runs of bounded size: each replicate keeps
+its own generator, and a run covers at most _RUN_CELLS replicate-times-row
+cells, so the split engine can fit a whole run in one batched pass.
 
 The chi-square survival function is computed from the regularized upper
 incomplete gamma function with the classic two-regime scheme: a power series
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Any, Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +32,9 @@ _EXP_MAX = 709.0
 # two threads lost to one up to n = 1024, tied at 2048 and won from 4096, in
 # split_evalue, bagged_recalibrate and run_power_study alike
 _THREAD_MIN_N = 4096
+# most replicates times sample size that one run of replicates covers: a
+# run of the batched split fit peaks at about 3 MiB of arrays
+_RUN_CELLS = 2**15
 
 
 def expit(z: float) -> float:
@@ -185,22 +191,34 @@ def _thread_spans(count: int, threads: int, n: int) -> list[tuple[int, int]]:
 def _replicates(
     key: tuple[int, ...],
     count: int,
-    body: Callable[[int, np.random.Generator], Any],
+    body: Callable[[int, Iterable[np.random.Generator]], list],
     *,
     threads: int = 1,
-    n: int = 0,
+    n: int = 1,
     pool: type,
 ) -> list:
-    """[body(b, default_rng([*key, b])) for b in range(count)], in index order.
+    """One result per replicate b in range(count), in index order.
 
+    The replicates go to body(b0, rngs) in runs of consecutive indices
+    b0, b0 + 1, ..., where rngs yields default_rng([*key, b0 + i]) for the
+    i-th replicate of the run, one at a time, and body returns one result
+    per generator. A run holds at most max(1, _RUN_CELLS // n) replicates
+    of a sample of n observations.
     Replicate b draws only from its own generator, so the result does not
-    depend on how the replicates are spread over threads. The spans come
-    from _thread_spans(count, threads, n); when there is more than one, they
-    run on the caller's ThreadPoolExecutor, passed as pool, one worker per span.
+    depend on how the replicates are cut into runs or spread over threads.
+    The spans come from _thread_spans(count, threads, n); when there is more
+    than one, they run on the caller's ThreadPoolExecutor, passed as pool,
+    one worker per span.
     """
+    run = max(1, _RUN_CELLS // n)
 
     def chunk(span: tuple[int, int]) -> list:
-        return [body(b, np.random.default_rng([*key, b])) for b in range(*span)]
+        lo, hi = span
+        out = []
+        for b0 in range(lo, hi, run):
+            rngs = (np.random.default_rng([*key, b]) for b in range(b0, min(b0 + run, hi)))
+            out += body(b0, rngs)
+        return out
 
     spans = _thread_spans(count, threads, n)
     if len(spans) == 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,10 +127,13 @@ def bagged_recalibrate(
         raise InputError(f"threads must be positive, got {threads}")
     n = len(recal)
 
-    def bag(b: int, rng: np.random.Generator) -> SmoothedFit:
-        return laplace_smooth(pava_fit(recal.take(rng.integers(0, n, size=n))))
+    def bags(b0: int, rngs: Iterable[np.random.Generator]) -> list[SmoothedFit]:
+        return [
+            laplace_smooth(pava_fit(recal.take(rng.integers(0, n, size=n))))
+            for rng in rngs
+        ]
 
     fits = _replicates(
-        seed_key(seed), n_bags, bag, threads=threads, n=n, pool=ThreadPoolExecutor
+        seed_key(seed), n_bags, bags, threads=threads, n=n, pool=ThreadPoolExecutor
     )
     return _curve_from_fits(tuple(fits), band, grid_size)

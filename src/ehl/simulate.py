@@ -21,7 +21,6 @@ estimation scheme could achieve.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -263,7 +262,10 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
             rep_results = _replicates(
                 (config.seed, 0, ji, ni),
                 config.reps,
-                functools.partial(_one_rep, config, model, n, ji, ni),
+                lambda r0, rngs: [
+                    _one_rep(config, model, n, ji, ni, r0 + i, rng)
+                    for i, rng in enumerate(rngs)
+                ],
                 threads=config.threads,
                 n=n,
                 pool=ThreadPoolExecutor,
@@ -317,7 +319,7 @@ def _one_rep(
         # one draw of each split serves both e-values, so they stay paired
         body = _split_log_e(predicted, s, fit, terms)
         replicates = _replicates(
-            (config.seed, 1, ji, ni, r, si), config.B, body, pool=ThreadPoolExecutor
+            (config.seed, 1, ji, ni, r, si), config.B, body, n=n, pool=ThreadPoolExecutor
         )
         fitted, oracle = zip(*replicates)
         for variant, values in (("ehl", fitted), ("oracle", oracle)):

@@ -425,3 +425,70 @@ def load_rows_reference(fh):
         "x": np.array(extras["x"]) if "x" in extras else None,
         "pi_bar": np.array(extras["pi_bar"]) if "pi_bar" in extras else None,
     }
+
+
+def dump_rows_reference(samples):
+    """Frozen copy of the CSV writer that formatted one row at a time, with
+    numpy scalar indexing: the text dump_samples writes."""
+    columns = ["p", "y"]
+    x = getattr(samples, "x", None)
+    pi_bar = getattr(samples, "pi_bar", None)
+    if x is not None:
+        columns.append("x")
+    if pi_bar is not None:
+        columns.append("pi_bar")
+    lines = [",".join(columns) + "\n"]
+    for i in range(len(samples)):
+        cells = [repr(float(samples.p[i])), str(int(samples.y[i]))]
+        if x is not None:
+            cells.append(repr(float(x[i])))
+        if pi_bar is not None:
+            cells.append(repr(float(pi_bar[i])))
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+# Frozen copy of the split replicate as it ran one replicate at a time: both
+# halves of the permutation sorted, the estimation part merged into knots,
+# pooled by the stack algorithm and smoothed, and the holdout interpolated
+# and summed in index order. The batched split engine is checked against it
+# bit for bit.
+
+
+def split_reference(p, y, s, key, B, oracle_terms=None):
+    """(fitted, oracle) per split b in range(B), split b drawn from
+    default_rng([*key, b]); oracle is None without oracle_terms."""
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    n = p.size
+    k = int(math.floor(n * s + 1e-9))
+    order = np.argsort(p, kind="stable")
+    ps = p[order]
+    ys = y[order]
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    logp = np.log(p)
+    log1mp = np.log1p(-p)
+    out = []
+    for b in range(B):
+        perm = np.random.default_rng([*key, b]).permutation(n)
+        train, hold = np.sort(perm[:k]), np.sort(perm[k:])
+        oracle = None if oracle_terms is None else float(np.sum(oracle_terms[hold]))
+        mask = np.zeros(n, dtype=bool)
+        mask[pos[train]] = True
+        pt, yt = ps[mask], ys[mask]
+        new = np.empty(k, dtype=bool)
+        new[0] = True
+        np.not_equal(pt[1:], pt[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        knots = pt[starts]
+        w = np.diff(np.append(starts, k))
+        sums = np.add.reduceat(yt, starts)
+        bw, bs, bk = _stack_blocks(w.tolist(), sums.tolist())
+        smoothed = np.repeat(np.divide(np.add(0.5, bs), np.add(bw, 1.0)), bk)
+        q = np.interp(p[hold], knots, smoothed)
+        terms = np.where(
+            y[hold] == 1, np.log(q) - logp[hold], np.log1p(-q) - log1mp[hold]
+        )
+        out.append((float(np.sum(terms)), oracle))
+    return out

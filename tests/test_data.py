@@ -14,9 +14,10 @@ from ehl import (
     load_samples,
     split_indices,
 )
+import ehl.data
 from ehl.data import samples_to_csv
 
-from helpers import load_rows_reference
+from helpers import dump_rows_reference, load_rows_reference
 
 
 def _load_text(text):
@@ -299,6 +300,29 @@ class TestDump:
         path = tmp_path / "out.csv"
         dump_samples(SampleSet([0.1], [1]), path)
         assert path.read_text() == "p,y\n0.1,1\n"
+
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_columns_write_the_bytes_of_the_row_loop(self, monkeypatch, block):
+        if block is not None:
+            # several blocks of rows, the last one short
+            monkeypatch.setattr(ehl.data, "_DUMP_ROWS", block)
+        rng = np.random.default_rng(8)
+        p = np.concatenate([[0.0, 1.0, 5e-324, 0.5, 1 / 3], rng.uniform(0.0, 1.0, 200)])
+        y = (rng.random(p.size) < p).astype(int)
+        x = np.concatenate([[-0.0, 5e-324, 3.0, -2.0, 1e300], rng.normal(size=200)])
+        cases = [
+            SampleSet(p, y),
+            LabeledSampleSet(p, y),
+            LabeledSampleSet(p, y, x=x),
+            LabeledSampleSet(p, y, pi_bar=p[::-1]),
+            LabeledSampleSet(p, y, x=x, pi_bar=p[::-1]),
+        ]
+        for s in cases:
+            assert samples_to_csv(s) == dump_rows_reference(s)
+        # signed zero, the least subnormal and integral floats keep their repr
+        assert samples_to_csv(cases[2]).splitlines()[:4] == [
+            "p,y,x", "0.0,0,-0.0", "1.0,1,5e-324", "5e-324,0,3.0"
+        ]
 
 
 class TestSplitIndices:

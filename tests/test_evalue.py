@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from ehl import (
     split_evalue,
     split_indices,
 )
+import ehl.numeric
 from ehl.evalue import EXACT_N_LIMIT, _split_log_e
+from ehl.numeric import _replicates
 
 from helpers import (
     exact_reference,
     outcome_expectation,
     sequential_reference,
+    split_reference,
     step_cases,
 )
 
@@ -474,8 +478,9 @@ class TestSplit:
         ss = _samples(p, y)
 
         def draw(fit, terms):
+            # one run of all B replicates, as _replicates hands it over
             body = _split_log_e(ss, 1 / 3, fit, terms)
-            return [body(b, np.random.default_rng([*key, b])) for b in range(B)]
+            return body(0, [np.random.default_rng([*key, b]) for b in range(B)])
 
         fitted, oracle = zip(*draw(True, oracle_terms))
         fitted_alone, no_oracle = zip(*draw(True, None))
@@ -490,6 +495,69 @@ class TestSplit:
         report = split_evalue(ss, 1 / 3, B, seed=key)
         assert np.array_equal(_bits(fitted), _bits(report.per_split_log_e))
         assert np.array_equal(_bits(fitted_alone), _bits(report.per_split_log_e))
+
+
+def _split_kinds(n, rng):
+    """(name, p, y) of the split engine's bit-identity corpus at size n."""
+    p = rng.uniform(0.02, 0.98, n)
+    yield "continuous", p, (rng.random(n) < p).astype(int)
+    ties = np.clip(np.round(p, 2), 0.01, 0.99)
+    yield "ties", ties, (rng.random(n) < ties).astype(int)
+    yield "constant", np.full(n, 0.37), (rng.random(n) < 0.5).astype(int)
+    yield "all_0", p, np.zeros(n, int)
+    yield "all_1", ties, np.ones(n, int)
+    # outcomes falling with p: every fit pools to one block
+    yield "falling", p, (rng.random(n) < 1.0 - p).astype(int)
+
+
+def _engine(p, y, s, key, B, oracle_terms):
+    samples = _samples(p, y)
+    body = _split_log_e(samples, s, True, oracle_terms)
+    return _replicates(key, B, body, n=len(samples), pool=ThreadPoolExecutor)
+
+
+def _same_bits(got, want):
+    fitted, oracle = zip(*got)
+    fitted_want, oracle_want = zip(*want)
+    return np.array_equal(_bits(fitted), _bits(fitted_want)) and np.array_equal(
+        _bits(oracle), _bits(oracle_want)
+    )
+
+
+class TestSplitEngine:
+    @pytest.mark.parametrize("n", [2, 3, 5, 128, 257, 2048, 10**5])
+    def test_matches_the_per_replicate_reference_bit_for_bit(self, n, monkeypatch):
+        if n < 128:
+            # shorter runs, so that a few hundred splits span several
+            monkeypatch.setattr(ehl.numeric, "_RUN_CELLS", 64)
+        run = max(1, ehl.numeric._RUN_CELLS // n)
+        rng = np.random.default_rng(n)
+        key = (9, n)
+        for kind, p, y in _split_kinds(n, rng):
+            terms = rng.normal(size=n)
+            for s in (1 / 3, 1 / 2, 2 / 3):
+                if math.floor(n * s + 1e-9) < 1:
+                    continue  # an empty estimation part
+                if n == 10**5 and kind != "continuous" and s != 1 / 2:
+                    continue  # the large sample takes one fraction per kind
+                # one replicate; one past a run boundary; several runs
+                counts = [1, run + 1]
+                if kind == "continuous" and s == 1 / 2:
+                    counts.append(3 * run + 2)
+                want = split_reference(p, y, s, key, max(counts), terms)
+                for B in counts:
+                    got = _engine(p, y, s, key, B, terms)
+                    assert _same_bits(got, want[:B]), (kind, s, B)
+
+    def test_a_run_of_the_shipped_length_on_a_tiny_sample(self):
+        n = 5
+        run = ehl.numeric._RUN_CELLS // n
+        rng = np.random.default_rng(6)
+        for kind, p, y in _split_kinds(n, rng):
+            if kind in ("continuous", "falling"):
+                terms = rng.normal(size=n)
+                want = split_reference(p, y, 1 / 2, (4,), run + 1, terms)
+                assert _same_bits(_engine(p, y, 1 / 2, (4,), run + 1, terms), want), kind
 
 
 class TestReporting:

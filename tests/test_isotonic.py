@@ -195,6 +195,28 @@ def test_kernel_matches_stack_oracle_bit_for_bit():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_row_barriers_pool_each_fit_as_on_its_own():
+    # fits of the kernel corpus laid end to end in groups, so that a falling
+    # fit often follows a rising one and would pool into it across the
+    # barrier; staircases make the passes stop early, so the stack finishes
+    corpus = list(_kernel_corpus())
+    rng = np.random.default_rng(12)
+    crossed = 0
+    for lo in range(0, len(corpus), 7):
+        group = [corpus[i] for i in rng.permutation(np.arange(lo, min(lo + 7, len(corpus))))]
+        w = np.concatenate([gw for gw, _ in group])
+        s = np.concatenate([gs for _, gs in group])
+        rows = np.zeros(w.shape[0], dtype=bool)
+        rows[np.cumsum([0] + [gw.shape[0] for gw, _ in group[:-1]])] = True
+        want = ([], [], [])
+        for gw, gs in group:
+            for out, part in zip(want, _pool_blocks(gw, gs)):
+                out += part
+        assert _pool_blocks(w, s, rows) == want
+        crossed += _pool_blocks(w, s) != want
+    assert crossed > 0
+
+
 def _laplace_corpus():
     for w, s in _kernel_corpus():
         yield w, s, np.linspace(0.0005, 0.9995, w.shape[0])

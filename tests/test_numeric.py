@@ -19,6 +19,7 @@ from ehl import (
 )
 import ehl.evalue
 from ehl.numeric import (
+    _RUN_CELLS,
     _THREAD_MIN_N,
     _replicates,
     _thread_spans,
@@ -152,8 +153,8 @@ def _first_draws(key, count):
     return [(b, int(np.random.default_rng([*key, b]).integers(2**63))) for b in range(count)]
 
 
-def _first_draw(b, rng):
-    return b, int(rng.integers(2**63))
+def _first_draw(b0, rngs):
+    return [(b0 + i, int(rng.integers(2**63))) for i, rng in enumerate(rngs)]
 
 
 # the three pool sites on a sample of exactly _THREAD_MIN_N observations,
@@ -203,6 +204,31 @@ class TestReplicates:
         assert got == _first_draws(key, 3)
         # not the stream of the parts reduced modulo 2^32
         assert got != _first_draws((5, 0), 3)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, _RUN_CELLS, 10**6])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_runs_are_bounded_consecutive_and_seeded_by_index(self, forced_pool, n, threads):
+        key, count = (8, 1), 100
+        runs = []
+
+        def body(b0, rngs):
+            rngs = list(rngs)
+            runs.append((b0, len(rngs)))
+            for i, rng in enumerate(rngs):
+                fresh = np.random.default_rng([*key, b0 + i])
+                assert rng.bit_generator.state == fresh.bit_generator.state
+            return list(range(b0, b0 + len(rngs)))
+
+        got = _replicates(key, count, body, threads=threads, n=n, pool=ehl.evalue.ThreadPoolExecutor)
+        assert forced_pool == ([3] if threads == 3 else [])
+        assert got == list(range(count))
+        assert all(1 <= size <= max(1, 2**15 // n) for _, size in runs)
+        # the runs tile range(count); threads may hand them over interleaved
+        ends = [b0 + size for b0, size in sorted(runs)]
+        assert [b0 for b0, _ in sorted(runs)] == [0] + ends[:-1]
+        assert ends[-1] == count
+        if threads == 1:
+            assert runs == sorted(runs)
 
 
 class TestThreadSpans:
