@@ -48,7 +48,7 @@ from .numeric import _replicates, exp_clamped, logsumexp, seed_key
 
 DEFAULT_THRESHOLD = 20.0
 # largest sample the exact variant accepts, whatever n_max is: n = 14 visits
-# 2^14 prefix sets in 1.9-2.1 s of CPU on one core of a 2-core Intel Xeon
+# 2^14 prefix sets in 2.0-2.2 s of CPU on one core of a 2-core Intel Xeon
 EXACT_N_LIMIT = 14
 
 
@@ -81,9 +81,8 @@ def eq_single(p: float, y: int, q: float) -> float:
 
 
 def _log_eq_scalar(p: float, y: int, q: float) -> float:
-    num = q if y == 1 else 1.0 - q
-    if num == 0.0:
-        return -math.inf
+    # q comes from _oos_value, strictly inside (0, 1): g1 >= 1/cw and
+    # 1 - g0 >= 1/cw for the count cw of the block that holds the new point
     if y == 1:
         return math.log(q) - math.log(p)
     return math.log1p(-q) - math.log1p(-p)
@@ -179,11 +178,11 @@ def sequential_evalue(
     final e-value together with the cumulative path (E_1, ..., E_n), whose
     running values form a test martingale under calibration.
 
-    The prefix is kept as its pooled blocks. Each step re-pools only the
-    block that holds the new point, once with the other label for the
-    prediction and once with the observed label, which also grows the
-    prefix. A step costs about that block's knot count: O(n) per step and
-    O(n^2) in total only when one block holds every knot.
+    The prefix is kept as its pooled blocks. Each step pools the two sides
+    of the block that holds the new point once, reads g0 and g1 from them,
+    and grows the prefix by the observed label's merge. A step costs about
+    that block's knot count: O(n) per step and O(n^2) in total only when
+    one block holds every knot.
     """
     _require_interior(samples)
     p = samples.p
@@ -195,9 +194,7 @@ def sequential_evalue(
     for i in range(n):
         pi = float(p[i])
         yi = int(y[i])
-        other = state.step(pi, 1 - yi)
-        own = state.step(pi, yi, grow=True)
-        q = _oos_value(other, own) if yi else _oos_value(own, other)
+        q = _oos_value(*state.step(pi, yi))
         log_e += _log_eq_scalar(pi, yi, q)
         path.append(exp_clamped(log_e))
     return EValueReport.from_log(
@@ -215,12 +212,12 @@ def exact_symmetrized_evalue(
     prefix sets T: F(T + {j}) accumulates F(T) + log eq_j(T) by log-sum-exp,
     starting from F({}) = 0, and log e = F(all) - log n!. Each factor is
     computed once per (prefix set, next index) with the arithmetic of the
-    sequential test, so the work is about 2^n n / 2 out-of-sample steps.
-    Each prefix set keeps its pooled blocks, grown from a copy of those of
-    the set without its lowest member. The
-    factors are combined in a different order than a sum over permutations;
-    the two agree to 1e-12 relative. The result does not depend on the input
-    order.
+    sequential test, so the work is about 2^n n / 2 out-of-sample steps,
+    each reading g0 and g1 from one pooling. Each prefix set keeps its
+    pooled blocks, grown from a copy of those of the set without its lowest
+    member by that member's own label alone. The factors are combined in a
+    different order than a sum over permutations; the two agree to 1e-12
+    relative. The result does not depend on the input order.
 
     n is capped at n_max (default 8) and, whatever n_max is, at
     EXACT_N_LIMIT; a larger sample raises ExactSizeError before any work.
@@ -252,12 +249,12 @@ def exact_symmetrized_evalue(
         if mask:
             j0 = (mask & -mask).bit_length() - 1
             state = states[mask & (mask - 1)].copy()
-            state.step(p[j0], y[j0], grow=True)
+            state.step(p[j0], y[j0], labels=(y[j0],))
             states.append(state)
         state = states[mask]
         for j in range(n):
             if not mask >> j & 1:
-                q = _oos_value(state.step(p[j], 0), state.step(p[j], 1))
+                q = _oos_value(*state.step(p[j]))
                 term = log_f[mask] + _log_eq_scalar(p[j], y[j], q)
                 grown = mask | 1 << j
                 log_f[grown] = np.logaddexp(log_f[grown], term)

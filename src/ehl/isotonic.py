@@ -36,12 +36,15 @@ appended at the new point:
     q = g1 / (g1 + 1 - g0)
 
 where g1 and g0 are the augmented fitted values there. An empty prefix
-gives q = 1/2. The prefix is kept as its pooled blocks, and each augmented
-value re-pools only the block that holds the new point, then merges the
-result with its neighbours by the stack rule. The other blocks are
-poolings of knots the new point does not touch, so by the same order
-independence they stay pooled, and g1 and g0 come from the same integers
-as a full refit. A step costs about the knot count of the holding block.
+gives q = 1/2. The prefix is kept as its pooled blocks; by the same order
+independence, only the block that holds the new point pools again. The
+label enters only at the new point's knot, so that block's knots left and
+right of the point pool once for both labels. A pooled block's prefix means
+are never below its mean (Barlow, Bartholomew, Bremner & Brunk 1972), so
+the left side's blocks start the stack as they are, and the new knot, the
+right side's blocks and the neighbours go on by the stack rule. So g1 and
+g0 come from the same integers as a full refit, and a step costs about the
+knot count of the holding block.
 
 The Laplace-smoothed fit replaces each pooled block mean (sum / count) by
 (0.5 + sum) / (count + 1), which is strictly inside (0, 1), and predicts
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -197,7 +201,9 @@ class _PrefixBlocks:
     knots is the sorted list of distinct forecasts, w and s the int64 count
     and outcome sum at each knot; bw, bs and bk are the pooled blocks as
     Python ints (count, outcome sum, knots covered), and bf each block's
-    first knot.
+    first knot. One step pools the two sides of the block that holds the
+    new point once, reads the fitted value there for each label asked for,
+    and adds the observation with its own label when given one.
     """
 
     __slots__ = ("knots", "w", "s", "bw", "bs", "bk", "bf")
@@ -226,10 +232,11 @@ class _PrefixBlocks:
         return _PrefixBlocks(self.knots[:], self.w.copy(), self.s.copy(),
                              self.bw[:], self.bs[:], self.bk[:], self.bf[:])
 
-    def step(self, p: float, y: int, grow: bool = False) -> float:
-        """Fitted value at p after adding the observation (p, y), from
-        re-pooling only the block that holds p; with grow, the observation
-        is also added to the state."""
+    def step(self, p: float, y: int | None = None, labels: Sequence[int] = (0, 1)) -> list[float]:
+        """Fitted value at p after adding an observation at p, for each
+        label in labels: [g0, g1] by default. The holding block's knots left
+        and right of p pool once for all labels; with y, one of labels, the
+        observation (p, y) is also added to the state."""
         knots, w, s, bw, bs, bk = self.knots, self.w, self.s, self.bw, self.bs, self.bk
         if bw:
             # the block holding p: the last one whose first knot is at most
@@ -241,73 +248,62 @@ class _PrefixBlocks:
             h = a = b = 0
         j = bisect_left(knots, p, a, b)
         tie = j < b and knots[j] == p
-        k = j - a
-        if b - a < _STACK_BLOCKS:
-            # the stack algorithm reads Python ints
-            lw = w[a:b].tolist()
-            ls = s[a:b].tolist()
-            if tie:
-                lw[k] += 1
-                ls[k] += y
-            else:
-                lw.insert(k, 1)
-                ls.insert(k, y)
-            pooled = _stack_pool(lw, ls, [1] * len(lw))
-        else:
-            if tie:
-                lw = w[a:b].copy()
-                ls = s[a:b].copy()
-                lw[k] += 1
-                ls[k] += y
-            else:
-                lw = _splice(w[a:b], k, 1)
-                ls = _splice(s[a:b], k, y)
-            pooled = _pool_blocks(lw, ls)
-        # The stack rule outward: tw, ts, tk is the stack above the left
-        # blocks bw[:lo], whose knots start at index start. The re-pooled
-        # blocks go on first, then right blocks from hi on while the stack
-        # top pools with them; once one does not, none beyond it can.
-        lo, hi, start = h, h + 1 if bw else 0, a
-        tw: list[int] = []
-        ts: list[int] = []
-        tk: list[int] = []
+        # The label enters only at knot j, so each side of the holding block
+        # pools once; the left side's blocks have means above the holding
+        # block's left neighbour, so they start the stack. An empty side skips
+        # the numpy slicing, which costs the exact variant's tiny states most.
+        left = _pool_blocks(w[a:j], s[a:j]) if a < j else ([], [], [])
+        right = _pool_blocks(w[j + tie:b], s[j + tie:b]) if j + tie < b else ([], [], [])
+        jw, js = (w.item(j) + 1, s.item(j)) if tie else (1, 0)
         nb = len(bw)
-        incoming = zip(*pooled)
-        while True:
-            block = next(incoming, None)
-            if block is not None:
-                cw, cs, ck = block
-            elif hi < nb and ts[-1] * bw[hi] >= bs[hi] * tw[-1]:
-                cw, cs, ck = bw[hi], bs[hi], bk[hi]
-                hi += 1
-            else:
-                break
+        values = []
+        for label in labels:
+            # The stack rule outward: tw, ts, tk is the stack above the left
+            # blocks bw[:lo], whose knots start at index start. Knot j's
+            # block goes on, then the right side's blocks, then right blocks
+            # from hi on while the stack top pools with them; once one does
+            # not, none beyond it can.
+            lo, hi, start = h, h + 1 if bw else 0, a
+            tw, ts, tk = left[0][:], left[1][:], left[2][:]
+            incoming = chain(((jw, js + label, 1),), zip(*right))
             while True:
-                if tw:
-                    if ts[-1] * cw < cs * tw[-1]:
-                        break
-                    cw += tw.pop()
-                    cs += ts.pop()
-                    ck += tk.pop()
-                elif lo and bs[lo - 1] * cw >= cs * bw[lo - 1]:
-                    lo -= 1
-                    cw += bw[lo]
-                    cs += bs[lo]
-                    ck += bk[lo]
-                    start -= bk[lo]
+                block = next(incoming, None)
+                if block is not None:
+                    cw, cs, ck = block
+                elif hi < nb and ts[-1] * bw[hi] >= bs[hi] * tw[-1]:
+                    cw, cs, ck = bw[hi], bs[hi], bk[hi]
+                    hi += 1
                 else:
                     break
-            tw.append(cw)
-            ts.append(cs)
-            tk.append(ck)
-        end = start
-        for cw, cs, ck in zip(tw, ts, tk):
-            end += ck
-            if j < end:
-                # for sums below 2^53, int / int rounds exactly as numpy int64 division
-                value = cs / cw
-                break
-        if grow:
+                while True:
+                    if tw:
+                        if ts[-1] * cw < cs * tw[-1]:
+                            break
+                        cw += tw.pop()
+                        cs += ts.pop()
+                        ck += tk.pop()
+                    elif lo and bs[lo - 1] * cw >= cs * bw[lo - 1]:
+                        lo -= 1
+                        cw += bw[lo]
+                        cs += bs[lo]
+                        ck += bk[lo]
+                        start -= bk[lo]
+                    else:
+                        break
+                tw.append(cw)
+                ts.append(cs)
+                tk.append(ck)
+            end = start
+            for cw, cs, ck in zip(tw, ts, tk):
+                end += ck
+                if j < end:
+                    # for sums below 2^53, int / int rounds exactly as numpy int64 division
+                    values.append(cs / cw)
+                    break
+            if label == y:
+                grown = lo, hi, start, tw, ts, tk
+        if y is not None:
+            lo, hi, start, tw, ts, tk = grown
             if tie:
                 w[j] += 1
                 s[j] += y
@@ -319,7 +315,7 @@ class _PrefixBlocks:
             bs[lo:hi] = ts
             bk[lo:hi] = tk
             self.bf[lo:hi] = _first_knots(knots, start, tk)
-        return value
+        return values
 
 
 def _oos_value(g0: float, g1: float) -> float:
@@ -454,5 +450,4 @@ def oos_predict(
     prefix = SampleSet(prefix_p, prefix_y)
     order = np.argsort(prefix.p, kind="stable")
     state = _PrefixBlocks.fit(*_merge_sorted(prefix.p[order], prefix.y[order]))
-    p_new = float(p_new)
-    return _oos_value(state.step(p_new, 0), state.step(p_new, 1))
+    return _oos_value(*state.step(float(p_new)))

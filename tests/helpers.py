@@ -202,7 +202,11 @@ def step_cases(p, y):
     the prefix block holding it (the last block whose first knot is at most
     the point, block 0 below every knot) has more than 32 knots, and 'left'
     and 'right' when the augmented block at the new point reaches past that
-    block's first or last knot."""
+    block's first or last knot. The holding block's knots below the point
+    are its left side and those above it its right side: 'no left side'
+    when the point is at or below the block's first knot, 'no right side'
+    when it is past the block's last knot, and 'wide left side' and 'wide
+    right side' when a side has more than 32 knots."""
     cases = set()
     knots, w, s = [], [], []
     for pi, yi in zip(p, y):
@@ -217,6 +221,14 @@ def step_cases(p, y):
                 cases.add("tie")
             if starts[h + 1] - starts[h] > 32:
                 cases.add("wide")
+            if pi <= knots[starts[h]]:
+                cases.add("no left side")
+            if pi > knots[starts[h + 1] - 1]:
+                cases.add("no right side")
+            if bisect.bisect_left(knots, pi, starts[h], starts[h + 1]) - starts[h] > 32:
+                cases.add("wide left side")
+            if starts[h + 1] - bisect.bisect_right(knots, pi, starts[h], starts[h + 1]) > 32:
+                cases.add("wide right side")
             for label in (0, 1):
                 aug = _insert_reference(knots, w, s, pi, label)
                 lo = 0

@@ -172,18 +172,22 @@ class TestSequential:
             assert _bits(report.log_e) == _bits(log_e)
 
     def test_corpus_reaches_every_case_of_the_step(self):
-        # ties, a holding block beyond the stack-only size, and augmented
-        # blocks that pool with left and with right neighbours
+        # ties, a holding block beyond the stack-only size, augmented blocks
+        # that pool with left and with right neighbours, and each side of the
+        # holding block empty and beyond the stack-only size
         cases = set()
         for p, y in _sequential_corpus():
             if p.size <= 300:
                 cases |= step_cases(p, y)
-        assert cases == {"tie", "wide", "left", "right"}
+        assert cases == {
+            "tie", "wide", "left", "right", "no left side", "no right side",
+            "wide left side", "wide right side",
+        }
 
     # The cost the README states, held with room for slow shared hosts. On a
-    # 2-core x86 server typical data takes about 1.3 s at n = 10^4, and one
+    # 2-core x86 server typical data takes 0.45-0.65 s at n = 10^4, and one
     # block holding every knot, the worst case of the block-local step,
-    # about 1.2 s at n = 4000.
+    # 0.5-0.65 s at n = 4000.
     def test_time_bound_on_typical_data(self):
         rng = np.random.default_rng(37)
         p = rng.uniform(0.02, 0.98, 10_000)

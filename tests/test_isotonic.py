@@ -195,6 +195,26 @@ def test_kernel_matches_stack_oracle_bit_for_bit():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_pooled_block_prefix_means_are_at_least_the_block_mean():
+    # every prefix of a pooled block has a mean at least the block's, and
+    # every suffix one at most it, so the pooled blocks of a block's left
+    # part never pool with the block's left neighbour. Means are compared by
+    # integer cross-multiplication.
+    for w, s in _kernel_corpus():
+        bw, bs, bk = (np.array(v, dtype=np.int64) for v in _pool_blocks(w, s))
+        block = np.repeat(np.arange(bk.shape[0]), bk)
+        first = np.cumsum(bk) - bk
+        # counts and outcome sums of each knot's block up to that knot
+        cw, cs = np.cumsum(w), np.cumsum(s)
+        pw = cw - (cw - w)[first][block]
+        ps = cs - (cs - s)[first][block]
+        W, S = bw[block], bs[block]
+        assert np.all(ps * W >= S * pw)
+        # and from that knot to the block's end
+        sw, ss = W - pw + w, S - ps + s
+        assert np.all(ss * W <= S * sw)
+
+
 def test_row_barriers_pool_each_fit_as_on_its_own():
     # fits of the kernel corpus laid end to end in groups, so that a falling
     # fit often follows a rising one and would pool into it across the
