@@ -4,7 +4,9 @@ the replicate runner that seeds, chunks and threads every loop of random
 replicates (splits, bootstrap bags and power-study replications). It hands
 the replicates over in seeded runs of bounded size: each replicate keeps
 its own generator, and a run covers at most _RUN_CELLS replicate-times-row
-cells, so the split engine can fit a whole run in one batched pass.
+cells, so the split engine can fit a whole run in one batched pass. The
+generators are seeded in bulk: one vectorized pass of numpy's SeedSequence
+algorithm gives a whole block of replicates their state words.
 
 The chi-square survival function is computed from the regularized upper
 incomplete gamma function with the classic two-regime scheme: a power series
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InputError
 
@@ -29,12 +33,22 @@ _TINY = 1e-300
 # exp() overflows above ~709.78; clamp instead of raising
 _EXP_MAX = 709.0
 # smallest sample whose replicates run on worker threads: on a 2-core host,
-# two threads lost to one up to n = 1024, tied at 2048 and won from 4096, in
-# split_evalue, bagged_recalibrate and run_power_study alike
+# two threads against one took 0.66 / 0.81 / 0.88 of the wall time in
+# split_evalue / bagged_recalibrate / run_power_study at n = 4096, and less
+# above; at 2048 splits won (0.62) but bags and power replications tied or
+# lost (1.01-1.26 and 1.00-1.07), and at 1024 both lost
 _THREAD_MIN_N = 4096
 # most replicates times sample size that one run of replicates covers: a
 # run of the batched split fit peaks at about 3 MiB of arrays
 _RUN_CELLS = 2**15
+# most replicates whose generator states one bulk-seeding pass computes
+_SEED_BLOCK = 256
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
+# hashes its input with INIT_A/MULT_A and its output with INIT_B/MULT_B
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
 
 
 def expit(z: float) -> float:
@@ -188,6 +202,131 @@ def _thread_spans(count: int, threads: int, n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """SeedSequence's running hash constant: init * mult^t mod 2^32 for t
+    in range(count)."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & _WORD)
+    return consts
+
+
+def _hashmix(
+    value: int | np.ndarray, const: int | np.ndarray, mult: int | np.ndarray
+) -> int | np.ndarray:
+    """SeedSequence's hashmix of value at hash constant const, whose next
+    value is mult. Words are Python ints or uint64 arrays below 2^32, and
+    each product is masked back to 32 bits, so one expression serves both;
+    a uint64 product of two such words cannot overflow."""
+    value = (value ^ const) * mult & _WORD
+    return value ^ value >> 16
+
+
+def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+    """SeedSequence's mix of two words, as _hashmix takes them. A uint64
+    difference may wrap, which leaves its low 32 bits right."""
+    value = (_MIX_L * x - _MIX_R * y) & _WORD
+    return value ^ value >> 16
+
+
+def _mix_entropy(entropy: list, consts: list[int]) -> tuple[list, int]:
+    """SeedSequence.mix_entropy into a pool of four words: the pool and the
+    number of hash constants used.
+
+    The pool starts as the first four entropy words hashed, 0 past the end.
+    Then each pool word is mixed into the other three, and each later
+    entropy word into all four.
+    """
+    pool = [
+        _hashmix(entropy[i] if i < len(entropy) else 0, consts[i], consts[i + 1])
+        for i in range(4)
+    ]
+    t = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[t], consts[t + 1]))
+                t += 1
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts[t], consts[t + 1]))
+            t += 1
+    return pool, t
+
+
+# generate_state(4, np.uint64) hashes the pool out into eight 32-bit words,
+# reading pool word i % 4 for output word i
+_OUT = np.array(_hash_consts(_INIT_B, _MULT_B, 9), dtype=np.uint64)[:, None]
+
+
+def _seed_states(key: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """states(bs): for a uint64 array bs of indices below 2^32, the
+    len(bs) x 4 uint64 array whose row i is
+    SeedSequence([*key, bs[i]]).generate_state(4, np.uint64).
+
+    SeedSequence's entropy is each key part's 32-bit words, low word first
+    (0 gives one word), then b's one word. The steps that do not depend on
+    b run here once, on Python ints; states runs the rest on arrays.
+    """
+    words = [
+        int(part) >> shift & _WORD
+        for part in key
+        for shift in range(0, max(int(part).bit_length(), 1), 32)
+    ]
+    # 16 hashes fill and cross-mix the pool, and 4 more absorb each entropy
+    # word past the fourth; each hash also reads the next constant
+    consts = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(0, len(words) - 3))
+    if len(words) < 4:
+        # b's word is in the pool's first four, so every step depends on it
+        def pool(bs: np.ndarray) -> np.ndarray:
+            return np.stack(_mix_entropy([*words, bs], consts)[0])
+
+    else:
+        # b's word comes last: mix the key in once, then b into all four
+        # pool words in one pass, with four consecutive hash constants
+        head, t = _mix_entropy(words, consts)
+        head = np.array(head, dtype=np.uint64)[:, None]
+        c = np.array(consts[t : t + 5], dtype=np.uint64)[:, None]
+
+        def pool(bs: np.ndarray) -> np.ndarray:
+            return _mix(head, _hashmix(bs, c[:-1], c[1:]))
+
+    def states(bs: np.ndarray) -> np.ndarray:
+        out = _hashmix(pool(bs)[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT[:-1], _OUT[1:])
+        # each pair of 32-bit words, low word first, is one uint64 word
+        return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+
+    return states
+
+
+class _StateWords(ISeedSequence):
+    """Seeds a PCG64 with precomputed generate_state(4, np.uint64) words,
+    the only request PCG64 makes of its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generators(key: tuple[int, ...], lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """Generators with the states of default_rng([*key, b]) for b in
+    range(lo, hi), one at a time.
+
+    Their state words come from _seed_states in blocks of at most
+    _SEED_BLOCK indices. An index of 2^32 or more has two words in
+    SeedSequence's entropy, so it falls back to default_rng.
+    """
+    states = _seed_states(key)
+    for b0 in range(lo, min(hi, 2**32), _SEED_BLOCK):
+        bs = np.arange(b0, min(b0 + _SEED_BLOCK, hi, 2**32), dtype=np.uint64)
+        for words in states(bs):
+            yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+    for b in range(max(lo, 2**32), hi):
+        yield np.random.default_rng([*key, b])
+
+
 def _replicates(
     key: tuple[int, ...],
     count: int,
@@ -200,10 +339,13 @@ def _replicates(
     """One result per replicate b in range(count), in index order.
 
     The replicates go to body(b0, rngs) in runs of consecutive indices
-    b0, b0 + 1, ..., where rngs yields default_rng([*key, b0 + i]) for the
-    i-th replicate of the run, one at a time, and body returns one result
-    per generator. A run holds at most max(1, _RUN_CELLS // n) replicates
-    of a sample of n observations.
+    b0, b0 + 1, ..., where rngs yields the i-th replicate of the run a
+    generator with the state of default_rng([*key, b0 + i]), one at a time,
+    and body returns one result per generator. A run holds at most
+    max(1, _RUN_CELLS // n) replicates of a sample of n observations.
+    The generators come from _generators, which seeds them in bulk. So a
+    generator's bit_generator.seed_seq is a _StateWords, not a
+    SeedSequence, and cannot spawn; nothing in this package calls spawn.
     Replicate b draws only from its own generator, so the result does not
     depend on how the replicates are cut into runs or spread over threads.
     The spans come from _thread_spans(count, threads, n); when there is more
@@ -214,10 +356,10 @@ def _replicates(
 
     def chunk(span: tuple[int, int]) -> list:
         lo, hi = span
+        rngs = _generators(key, lo, hi)
         out = []
         for b0 in range(lo, hi, run):
-            rngs = (np.random.default_rng([*key, b]) for b in range(b0, min(b0 + run, hi)))
-            out += body(b0, rngs)
+            out += body(b0, islice(rngs, run))
         return out
 
     spans = _thread_spans(count, threads, n)

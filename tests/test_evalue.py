@@ -363,6 +363,17 @@ class TestOneLevelOracle:
 
 
 class TestSplit:
+    # held with room for slow shared hosts: on a 2-core x86 server four
+    # splits of 10^5 rows take about 0.05 s
+    def test_time_bound_at_10_to_the_5_rows(self):
+        rng = np.random.default_rng(43)
+        p = rng.uniform(0.02, 0.98, 100_000)
+        y = (rng.random(p.size) < p).astype(int)
+        start = time.perf_counter()
+        report = split_evalue(_samples(p, y), 0.5, 4, seed=0)
+        assert time.perf_counter() - start < 2.0
+        assert len(report.per_split_log_e) == 4 and math.isfinite(report.log_e)
+
     def test_constant_half_forecasts_hand_case(self):
         # train half carries one success out of two: the smoothed value is
         # (0.5 + 1) / 3 = 1/2, so every holdout ratio is 1 and E = 1 exactly

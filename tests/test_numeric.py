@@ -20,7 +20,9 @@ from ehl import (
 import ehl.evalue
 from ehl.numeric import (
     _RUN_CELLS,
+    _SEED_BLOCK,
     _THREAD_MIN_N,
+    _generators,
     _replicates,
     _thread_spans,
     exp_clamped,
@@ -229,6 +231,49 @@ class TestReplicates:
         assert ends[-1] == count
         if threads == 1:
             assert runs == sorted(runs)
+
+
+# key parts of one, two and three 32-bit words, at both ends of a word
+_KEY_PARTS = (0, 1, 2**32 - 1, 2**32, 2**40, 2**64 + 7)
+
+
+def _states_match(key):
+    """A replicate body that compares each generator's state with
+    default_rng([*key, b])'s."""
+
+    def body(b0, rngs):
+        return [
+            rng.bit_generator.state == np.random.default_rng([*key, b0 + i]).bit_generator.state
+            for i, rng in enumerate(rngs)
+        ]
+
+    return body
+
+
+class TestBulkSeeding:
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_states_equal_default_rngs_across_a_seeding_block(self, length):
+        count = _SEED_BLOCK + 2
+        for first in range(len(_KEY_PARTS)):
+            key = tuple(_KEY_PARTS[(first + j) % len(_KEY_PARTS)] for j in range(length))
+            got = _replicates(key, count, _states_match(key), pool=ehl.evalue.ThreadPoolExecutor)
+            assert got == [True] * count, key
+
+    @pytest.mark.parametrize("key", [(7,), (3, 1, 0, 1, 5, 2), (2**64 + 7, 2**32)])
+    def test_spans_that_start_mid_block_keep_the_states(self, forced_pool, key):
+        count = 2 * _SEED_BLOCK + 5
+        got = _replicates(
+            key, count, _states_match(key), threads=3, pool=ehl.evalue.ThreadPoolExecutor
+        )
+        assert forced_pool == [3]
+        assert got == [True] * count
+
+    @pytest.mark.parametrize("key", [(0,), (2**32 - 1, 2**40), (3, 1, 0, 1, 5, 2)])
+    def test_indices_from_2_to_the_32_fall_back_to_default_rng(self, key):
+        lo, hi = 2**32 - 3, 2**32 + 3
+        rngs = list(_generators(key, lo, hi))
+        assert len(rngs) == hi - lo
+        assert _states_match(key)(lo, rngs) == [True] * (hi - lo)
 
 
 class TestThreadSpans:

