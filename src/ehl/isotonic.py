@@ -170,8 +170,8 @@ def _merge_sorted(
         new[::width] = True
     starts = np.flatnonzero(new)
     knots = ps[starts]
-    counts = np.diff(np.append(starts, n)).astype(np.int64)
-    sums = np.add.reduceat(ys.astype(np.int64), starts)
+    counts = np.diff(np.append(starts, n)).astype(np.int64, copy=False)
+    sums = np.add.reduceat(ys.astype(np.int64, copy=False), starts)
     return knots, counts, sums
 
 
@@ -414,6 +414,24 @@ def laplace_smooth(fit: IsotonicFit) -> SmoothedFit:
     strictly inside (0, 1) even for pure-0 or pure-1 blocks.
     """
     return SmoothedFit(fit.knots, _smoothed_values(fit.pool_weights, fit.pool_sums, fit.pool_sizes))
+
+
+def _block_ends_fit(knots: np.ndarray, w: np.ndarray, s: np.ndarray) -> SmoothedFit:
+    """laplace_smooth(pava_fit(...)) of a sample merged into the sorted
+    knots with int64 counts w and outcome sums s, kept as the first and
+    last knot of each pooled block.
+
+    Knots with a count of 0 drop out, so w may count a resample of the
+    sample the knots were merged from. A smoothed fit is constant on a
+    block, so np.interp, whose slope inside a block is 0, gives the same
+    bits from the two end knots as from all of them. A one-knot block keeps
+    one knot, so the knots stay strictly increasing.
+    """
+    kept = np.flatnonzero(w)
+    bw, bs, bk = _pool_blocks(w[kept], s[kept])
+    last = np.cumsum(bk) - 1
+    ends = np.union1d(last + 1 - np.asarray(bk), last)
+    return SmoothedFit(knots[kept[ends]], _smoothed_values(bw, bs, np.minimum(bk, 2)))
 
 
 def interpolate(fit: SmoothedFit, p: float | Sequence[float] | np.ndarray):

@@ -33,11 +33,12 @@ _TINY = 1e-300
 # exp() overflows above ~709.78; clamp instead of raising
 _EXP_MAX = 709.0
 # smallest sample whose replicates run on worker threads: on a 2-core host,
-# two threads against one took 0.66 / 0.81 / 0.88 of the wall time in
-# split_evalue / bagged_recalibrate / run_power_study at n = 4096, and less
-# above; at 2048 splits won (0.62) but bags and power replications tied or
-# lost (1.01-1.26 and 1.00-1.07), and at 1024 both lost
-_THREAD_MIN_N = 4096
+# two threads against one took 0.62-0.63 / 0.88-0.93 / 0.67-0.70 of the
+# wall time in split_evalue / bagged_recalibrate (100 bags) /
+# run_power_study at n = 8192, and less at 16384; at 4096 splits and power
+# replications won (0.62-0.77 and 0.79-0.80) but bags, whose fits are mostly
+# interpreter work there, lost (1.19-1.23)
+_THREAD_MIN_N = 8192
 # most replicates times sample size that one run of replicates covers: a
 # run of the batched split fit peaks at about 3 MiB of arrays
 _RUN_CELLS = 2**15

@@ -7,6 +7,11 @@ map over bootstrap resamples of the recalibration sample, which removes most
 of the staircase artifact of a single fit and supplies a pointwise band from
 the bag quantiles.
 
+The sample is sorted once. A bag is the multiplicity of each sorted row in
+its bootstrap draw, so it needs no copy and no sort of its own, and its fit
+is kept as the first and last knot of each pooled block, which describe the
+same curve. apply() maps each distinct point once.
+
 Mapped values are always strictly inside (0, 1), so recalibrated forecasts
 can be fed straight into the likelihood-ratio e-value tests.
 """
@@ -21,7 +26,7 @@ import numpy as np
 
 from .data import SampleSet
 from .errors import InputError
-from .isotonic import SmoothedFit, laplace_smooth, pava_fit
+from .isotonic import SmoothedFit, _block_ends_fit, _merge_sorted
 from .numeric import _replicates, seed_key
 
 DEFAULT_BAGS = 100
@@ -36,7 +41,9 @@ class RecalCurve:
     grid/mean/q_low/q_high describe the curve on an even grid over [0, 1]
     for plotting and CSV export; apply() evaluates the exact map (the mean
     of the underlying smoothed fits) at arbitrary points. For an unbagged
-    curve the band degenerates to the curve itself.
+    curve the band degenerates to the curve itself. Each fit holds the
+    first and last knot of each of its pooled blocks, both with the block's
+    smoothed value.
     """
 
     grid: np.ndarray
@@ -63,10 +70,14 @@ class RecalCurve:
         arr = np.asarray(p, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise InputError("forecasts to recalibrate must lie in [0, 1]")
-        total = np.zeros(arr.shape, dtype=float)
+        # each distinct point sums its bags' values once, in bag order; the
+        # inverse is flat on numpy 1.x and shaped like arr on 2.x, so reshape
+        points, inverse = np.unique(arr, return_inverse=True)
+        total = np.zeros(points.shape, dtype=float)
         for fit in self.fits:
-            total += np.interp(arr, fit.knots, fit.values)
-        return total / len(self.fits)
+            total += np.interp(points, fit.knots, fit.values)
+        out = (total / len(self.fits))[inverse].reshape(arr.shape)
+        return out if arr.ndim else out[()]
 
     def to_csv(self) -> str:
         lines = ["p,mean,q_low,q_high"]
@@ -97,9 +108,17 @@ def _curve_from_fits(
     return RecalCurve(grid, mean, q_low, q_high, band, len(fits), fits)
 
 
+def _merged(recal: SampleSet) -> tuple[np.ndarray, ...]:
+    """The sample's stable sort order, its outcomes in that order, and its
+    distinct forecasts with their int64 counts and outcome sums."""
+    order = np.argsort(recal.p, kind="stable")
+    ys = recal.y[order]
+    return (order, ys, *_merge_sorted(recal.p[order], ys))
+
+
 def isotonic_recalibrate(recal: SampleSet, grid_size: int = DEFAULT_GRID_SIZE) -> RecalCurve:
     """Single smoothed isotonic fit on the recalibration sample."""
-    fit = laplace_smooth(pava_fit(recal))
+    fit = _block_ends_fit(*_merged(recal)[2:])
     return _curve_from_fits((fit,), DEFAULT_BAND, grid_size)
 
 
@@ -126,12 +145,23 @@ def bagged_recalibrate(
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
     n = len(recal)
+    order, ys, knots, w, _ = _merged(recal)
+    # each knot's first sorted row, to sum a bag's row counts per knot; when
+    # every row is its own knot they are the knot counts already, and
+    # reduceat over one-row segments would cost about 15 ms a bag at 10^6
+    starts = None if knots.size == n else np.cumsum(w) - w
+
+    def bag(rng: np.random.Generator) -> SmoothedFit:
+        # each sorted row's multiplicity in the bag's draw, summed per knot
+        cnt = np.bincount(rng.integers(0, n, size=n), minlength=n)[order]
+        if starts is None:
+            return _block_ends_fit(knots, cnt, cnt * ys)
+        return _block_ends_fit(
+            knots, np.add.reduceat(cnt, starts), np.add.reduceat(cnt * ys, starts)
+        )
 
     def bags(b0: int, rngs: Iterable[np.random.Generator]) -> list[SmoothedFit]:
-        return [
-            laplace_smooth(pava_fit(recal.take(rng.integers(0, n, size=n))))
-            for rng in rngs
-        ]
+        return [bag(rng) for rng in rngs]
 
     fits = _replicates(
         seed_key(seed), n_bags, bags, threads=threads, n=n, pool=ThreadPoolExecutor

@@ -504,3 +504,43 @@ def split_reference(p, y, s, key, B, oracle_terms=None):
         )
         out.append((float(np.sum(terms)), oracle))
     return out
+
+
+# Frozen copy of the bag loop as it ran before bags became multiplicities
+# over one sorted order: each bag copied its draw out of the sample, and
+# sorted, pooled and smoothed it with pava_fit and laplace_smooth, keeping
+# every knot; apply summed the bags' np.interp values at every point. The
+# counted fits, which keep two knots per pooled block, are checked against
+# it bit for bit. pava_fit and laplace_smooth are not on that path.
+
+
+def bagged_reference(recal, n_bags, seed, points, grid_size=1001, band=(0.01, 0.99)):
+    """(grid, mean, q_low, q_high, applied, fits) of the curve of n_bags
+    bags, bag b drawn from default_rng([seed, b]); n_bags 0 is the single
+    fit on the whole sample. fits are the pava_fit results of the bags."""
+    from ehl.isotonic import laplace_smooth, pava_fit
+
+    n = len(recal)
+    if n_bags == 0:
+        fits = [pava_fit(recal)]
+    else:
+        fits = [
+            pava_fit(recal.take(np.random.default_rng([seed, b]).integers(0, n, size=n)))
+            for b in range(n_bags)
+        ]
+    smoothed = [laplace_smooth(fit) for fit in fits]
+    grid = np.linspace(0.0, 1.0, grid_size)
+    values = np.empty((len(fits), grid_size))
+    for i, fit in enumerate(smoothed):
+        values[i] = np.interp(grid, fit.knots, fit.values)
+    mean = values.mean(axis=0)
+    if len(fits) == 1:
+        q_low = q_high = mean
+    else:
+        q_low = np.quantile(values, band[0], axis=0)
+        q_high = np.quantile(values, band[1], axis=0)
+    points = np.asarray(points, dtype=float)
+    total = np.zeros(points.shape)
+    for fit in smoothed:
+        total += np.interp(points, fit.knots, fit.values)
+    return grid, mean, q_low, q_high, total / len(fits), fits

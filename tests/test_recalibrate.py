@@ -14,6 +14,7 @@ from ehl import (
 )
 from ehl.isotonic import laplace_smooth, pava_fit
 from ehl.numeric import expit_array, logit
+from helpers import bagged_reference
 
 
 def _ss(p, y):
@@ -195,6 +196,128 @@ class TestBagged:
             bagged_recalibrate(ss, n_bags=5, band=(0.0, 1.5))
         with pytest.raises(InputError):
             bagged_recalibrate(ss, n_bags=5, threads=0)
+
+
+def _two_decimal(n, seed):
+    ss = _calibrated(n, seed)
+    return _ss(np.round(ss.p, 2), ss.y)
+
+
+def _with_ends(n, seed):
+    # forecasts of exactly 0 and 1 among one-decimal ties
+    rng = np.random.default_rng(seed)
+    p = np.round(rng.uniform(size=n), 1)
+    p[: n // 8] = 0.0
+    p[n // 8 : n // 4] = 1.0
+    y = (rng.random(n) < np.clip(p, 0.1, 0.9)).astype(int)
+    return _ss(p, y)
+
+
+_SAMPLES = {
+    "two_decimal_ties": lambda: _two_decimal(2000, seed=20),
+    "constant_forecasts": lambda: _ss(np.full(300, 0.4), _calibrated(300, seed=21).y),
+    "all_0": lambda: _ss(_calibrated(300, seed=22).p, np.zeros(300, dtype=int)),
+    "all_1": lambda: _ss(_calibrated(300, seed=23).p, np.ones(300, dtype=int)),
+    "n_1": lambda: _ss([0.3], [1]),
+    "n_2": lambda: _ss([0.7, 0.2], [0, 1]),
+    "forecasts_0_and_1": lambda: _with_ends(400, seed=24),
+    "continuous_10_to_the_5": lambda: _calibrated(100_000, seed=25),
+}
+
+
+def _curve(ss, n_bags, seed):
+    # n_bags 0 is the unbagged fit, as with --bags 0
+    return isotonic_recalibrate(ss) if n_bags == 0 else bagged_recalibrate(ss, n_bags, seed=seed)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestAgainstBagLoop:
+    """The counted two-knot bag fits against the frozen per-bag loop."""
+
+    @pytest.mark.parametrize("n_bags", [0, 1, 7])
+    @pytest.mark.parametrize("name", list(_SAMPLES))
+    def test_curve_and_apply_bit_for_bit(self, name, n_bags):
+        ss = _SAMPLES[name]()
+        points = np.concatenate([np.linspace(0.0, 1.0, 257), ss.p, [-0.0, 0.0, 1.0]])
+        want = bagged_reference(ss, n_bags, 5, points)
+        curve = _curve(ss, n_bags, seed=5)
+        got = (curve.grid, curve.mean, curve.q_low, curve.q_high, curve.apply(points))
+        for name_, a, b in zip(("grid", "mean", "q_low", "q_high", "apply"), got, want):
+            assert np.array_equal(_bits(a), _bits(b)), name_
+
+    @pytest.mark.parametrize("n_bags", [0, 6])
+    @pytest.mark.parametrize("name", list(_SAMPLES))
+    def test_two_knots_per_pooled_block(self, name, n_bags):
+        ss = _SAMPLES[name]()
+        curve = _curve(ss, n_bags, seed=8)
+        fits = bagged_reference(ss, n_bags, 8, [])[5]
+        assert len(curve.fits) == len(fits)
+        for fit, ref in zip(curve.fits, fits):
+            assert np.all(np.diff(fit.knots) > 0)
+            # the smallest and largest forecast the bag drew
+            assert fit.knots[0] == ref.knots[0] and fit.knots[-1] == ref.knots[-1]
+            last = np.cumsum(ref.pool_sizes) - 1
+            first = last + 1 - ref.pool_sizes
+            block = np.searchsorted(ref.knots[last], fit.knots)
+            # each stored knot is its pooled block's first or last knot, and
+            # every block keeps both (one when they coincide)
+            assert np.array_equal(np.searchsorted(ref.knots, fit.knots), np.union1d(first, last))
+            kept = np.bincount(block, minlength=last.size)
+            assert np.all(kept == np.where(ref.pool_sizes > 1, 2, 1))
+            value = (0.5 + ref.pool_sums) / (ref.pool_weights + 1.0)
+            assert np.array_equal(_bits(fit.values), _bits(value[block]))
+
+
+class TestApplyShapes:
+    @pytest.fixture(autouse=True)
+    def _fitted(self):
+        self.curve = bagged_recalibrate(_calibrated(200, seed=30), 5, seed=1)
+
+    def _reference(self, pts):
+        return bagged_reference(_calibrated(200, seed=30), 5, 1, pts)[4]
+
+    @pytest.mark.parametrize("point", [0.37, np.float64(0.37), np.array(0.37)])
+    def test_scalar_in_scalar_out(self, point):
+        out = self.curve.apply(point)
+        assert np.ndim(out) == 0 and isinstance(out, np.float64)
+        assert _bits(out) == _bits(self._reference(0.37))
+
+    def test_two_dimensional(self):
+        pts = np.array([[0.2, 0.9, 0.2], [0.55, 0.0, 0.9]])
+        out = self.curve.apply(pts)
+        assert out.shape == (2, 3)
+        assert np.array_equal(_bits(out), _bits(self._reference(pts)))
+        assert np.array_equal(_bits(out.ravel()), _bits(self.curve.apply(pts.ravel())))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty(self, shape):
+        out = self.curve.apply(np.empty(shape))
+        assert out.shape == shape and out.dtype == np.float64
+
+    def test_negative_zero(self):
+        out = self.curve.apply([-0.0, 0.0, -0.0])
+        assert np.array_equal(_bits(out), _bits(np.full(3, self.curve.apply(0.0))))
+        assert _bits(self.curve.apply(-0.0)) == _bits(self._reference(0.0))
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), [[0.2, float("nan")]], 1.5, [[-0.1, 0.3]], [0.5, np.inf]]
+    )
+    def test_nan_and_out_of_range_raise(self, bad):
+        with pytest.raises(InputError):
+            self.curve.apply(bad)
+
+    # held with room for slow shared hosts: on a 2-core x86 server one
+    # apply of 10^5 points on 20 bags of 10^5 rows takes 15-30 ms
+    def test_time_bound_at_10_to_the_5_points(self):
+        ss = _calibrated(100_000, seed=44)
+        curve = bagged_recalibrate(ss, n_bags=20, seed=0)
+        start = time.perf_counter()
+        out = curve.apply(ss.p)
+        assert time.perf_counter() - start < 1.0
+        assert out.shape == ss.p.shape and np.all((out > 0.0) & (out < 1.0))
 
 
 class TestCurveObject:
