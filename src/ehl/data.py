@@ -249,7 +249,7 @@ def _dump(samples: SampleSet, fh: IO[str]) -> None:
     # at once stays small
     for lo in range(0, len(samples), _DUMP_ROWS):
         cells = [map(form, col[lo:lo + _DUMP_ROWS].tolist()) for form, col in columns]
-        fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def samples_to_csv(samples: SampleSet) -> str:

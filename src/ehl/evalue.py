@@ -44,7 +44,7 @@ from .isotonic import (
     _pool_blocks,
     _smoothed_values,
 )
-from .numeric import _replicates, exp_clamped, logsumexp, seed_key
+from .numeric import _replicates, _stable_order, exp_clamped, logsumexp, seed_key
 
 DEFAULT_THRESHOLD = 20.0
 # largest sample the exact variant accepts, whatever n_max is: n = 14 visits
@@ -292,7 +292,7 @@ def _split_log_e(
     h = n - k
     if fit:
         p = samples.p
-        order = np.argsort(p, kind="stable")
+        order = _stable_order(p)
         ps = p[order]
         ys = samples.y[order]
         pos = np.empty(n, dtype=np.int64)

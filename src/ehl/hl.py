@@ -46,7 +46,7 @@ import numpy as np
 
 from .data import SampleSet
 from .errors import DegreesOfFreedomError, InputError
-from .numeric import chisq_sf
+from .numeric import _stable_order, chisq_sf
 
 METHODS = ("QL", "QR", "Qplus", "Qminus", "E")
 SWEEP_G_VALUES = tuple(range(5, 21))
@@ -127,7 +127,7 @@ class _SortedView(NamedTuple):
 
 
 def _sorted_view(samples: SampleSet) -> _SortedView:
-    order = np.argsort(samples.p, kind="stable")
+    order = _stable_order(samples.p)
     ones = np.zeros(order.size + 1, dtype=np.int64)
     np.cumsum(samples.y[order], out=ones[1:])
     return _SortedView(order, samples.p[order], ones)
@@ -220,7 +220,8 @@ def _cell_table(
     bounds = _bounds(view, method, g, cuts)
     o1 = np.diff(_ones_at(view, method, bounds)).tolist()
     pairs = zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    return tuple(_row(b - a, k, np.sum(view.ps[a:b])) for (a, b), k in zip(pairs, o1))
+    # np.add.reduce is the pairwise sum np.sum runs, without its wrapper
+    return tuple(_row(b - a, k, np.add.reduce(view.ps[a:b])) for (a, b), k in zip(pairs, o1))
 
 
 def make_binning(samples: SampleSet, method: str, g: int) -> Binning:

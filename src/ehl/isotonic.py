@@ -63,6 +63,7 @@ import numpy as np
 
 from .data import SampleSet, _freeze
 from .errors import InputError
+from .numeric import _stable_order
 
 
 # Below this many blocks the stack algorithm costs less than one more
@@ -399,7 +400,7 @@ def pava_fit(samples) -> IsotonicFit:
     Accepts any object with ``p`` and ``y`` array attributes. Ties in p are
     merged before pooling, so the result is invariant to input order.
     """
-    order = np.argsort(samples.p, kind="stable")
+    order = _stable_order(samples.p)
     ps = np.asarray(samples.p, dtype=float)[order]
     ys = np.asarray(samples.y, dtype=np.int64)[order]
     knots, w, s = _merge_sorted(ps, ys)
@@ -466,6 +467,6 @@ def oos_predict(
     if np.size(prefix_p) == 0 and np.size(prefix_y) == 0:
         return 0.5
     prefix = SampleSet(prefix_p, prefix_y)
-    order = np.argsort(prefix.p, kind="stable")
+    order = _stable_order(prefix.p)
     state = _PrefixBlocks.fit(*_merge_sorted(prefix.p[order], prefix.y[order]))
     return _oos_value(*state.step(float(p_new)))

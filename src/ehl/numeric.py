@@ -1,5 +1,6 @@
 """Numerical building blocks: stable link functions, log-space sums,
-chi-square tail probabilities, small linear solves, seed normalization, and
+chi-square tail probabilities, small linear solves, the stable sort order
+that every sorted view of a sample is built from, seed normalization, and
 the replicate runner that seeds, chunks and threads every loop of random
 replicates (splits, bootstrap bags and power-study replications). It hands
 the replicates over in seeded runs of bounded size: each replicate keeps
@@ -50,6 +51,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
+# smallest sample that _stable_order sorts with the default sort plus a tie
+# repair; smaller ones take numpy's stable sort. Kernel / stable time on a
+# 2-core x86-64 host with AVX-512 (numpy 2.4), median of 40 rounds:
+# continuous / two-decimal forecasts 0.61 / 1.33 at n = 1024, 0.41 / 0.96 at
+# 1280, 0.35 / 0.82 at 1536 and 0.29 / 0.75 at 2048
+_STABLE_SORT_MIN_N = 1280
 
 
 def expit(z: float) -> float:
@@ -97,6 +104,49 @@ def logsumexp(values: Sequence[float] | np.ndarray) -> float:
     if math.isinf(m):
         return math.inf
     return m + math.log(float(np.sum(np.exp(arr - m))))
+
+
+def _stable_order(p: np.ndarray) -> np.ndarray:
+    """np.argsort(p, kind="stable") of a one-dimensional p, built from
+    numpy's faster default sort.
+
+    A stable sorting permutation is unique, so the default sort's order
+    only needs its ties put back in index order: each entry gets the rank
+    of its value among the distinct sorted values, and one sort of the int64
+    keys rank * n + index gives the answer as key % n. The keys fit for
+    n < 3 * 10^9. -0.0 and 0.0 compare equal, so they share a rank and keep
+    index order, as in the stable sort. NaN never equals itself, so a
+    sample with a NaN, which sorts last, takes the stable sort. So do
+    samples below _STABLE_SORT_MIN_N, where that sort is cheaper. At any
+    time it holds, its output included, at most two arrays of n 8-byte
+    entries and one of n booleans.
+    """
+    p = np.asarray(p)
+    n = p.size
+    if n < _STABLE_SORT_MIN_N:
+        return np.argsort(p, kind="stable")
+    order = np.argsort(p)
+    ps = p[order]
+    if ps[-1] != ps[-1]:
+        return np.argsort(p, kind="stable")
+    new = ps[1:] != ps[:-1]
+    if new.all():
+        return order
+    # the keys reuse the buffer of ps, which is no longer read, when it
+    # holds 8-byte values
+    key = ps.view(np.int64) if ps.itemsize == 8 else np.empty(n, dtype=np.int64)
+    del ps
+    key[0] = 0
+    key[1:] = new
+    del new
+    # in place: a cumsum from the booleans would cast through a temporary
+    np.cumsum(key[1:], out=key[1:])
+    key *= n
+    key += order
+    del order
+    key.sort()
+    np.remainder(key, n, out=key)
+    return key
 
 
 def _lower_regularized_series(a: float, x: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .data import SampleSet
 from .errors import InputError
 from .isotonic import SmoothedFit, _block_ends_fit, _merge_sorted
-from .numeric import _replicates, seed_key
+from .numeric import _replicates, _stable_order, seed_key
 
 DEFAULT_BAGS = 100
 DEFAULT_BAND = (0.01, 0.99)
@@ -111,7 +111,7 @@ def _curve_from_fits(
 def _merged(recal: SampleSet) -> tuple[np.ndarray, ...]:
     """The sample's stable sort order, its outcomes in that order, and its
     distinct forecasts with their int64 counts and outcome sums."""
-    order = np.argsort(recal.p, kind="stable")
+    order = _stable_order(recal.p)
     ys = recal.y[order]
     return (order, ys, *_merge_sorted(recal.p[order], ys))
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import ehl
+import ehl.cli
 from ehl import load_samples, sequential_evalue
 from ehl.cli import (
+    build_parser,
     main,
     main_ehl_test,
     main_hl_sweep,
@@ -427,3 +429,85 @@ class TestEntryPoints:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def _run_all(calls, outdir, capsys):
+    """Run main on each argv in turn, with {out} in an argv standing for
+    outdir: per call the exit code, stdout, stderr and the bytes of every
+    file in outdir, which is emptied first."""
+    results = []
+    for argv in calls:
+        for name in os.listdir(outdir):
+            os.remove(os.path.join(outdir, name))
+        try:
+            rc = main([a.format(out=outdir) for a in argv])
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        files = {name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))}
+        results.append((rc, out, err, files))
+    return results
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call must behave as
+    if it had a parser of its own."""
+
+    SEQUENCES = {
+        "output then stdout": [
+            ["hl-test", "--input", "{csv}", "--bins", "6", "--output", "{out}/a.json"],
+            ["hl-test", "--input", "{csv}"],
+            ["hl-sweep", "--input", "{csv}", "--format", "json", "--output", "{out}/s.json"],
+            ["hl-sweep", "--input", "{csv}"],
+        ],
+        "error then good call": [
+            ["hl-test", "--input", "{csv}", "--bins", "0"],
+            ["hl-test", "--input", "{csv}"],
+            ["ehl-test", "--input", "{csv}", "--variant", "bogus"],
+            ["ehl-test", "--input", "{csv}", "--splits", "5"],
+        ],
+        "hl-test after ehl-test": [
+            ["ehl-test", "--input", "{csv}", "--splits", "7", "--seed", "3",
+             "--threshold", "5", "--output", "{out}/e.json"],
+            ["hl-test", "--input", "{csv}"],
+            ["ehl-test", "--input", "{csv}", "--splits", "4"],
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_matches_a_fresh_parser(self, name, forecast_csv, tmp_path, monkeypatch, capsys):
+        calls = [[a.replace("{csv}", forecast_csv) for a in argv] for argv in self.SEQUENCES[name]]
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        shared = _run_all(calls, outdir, capsys)
+        monkeypatch.setattr(ehl.cli, "_parser", build_parser)
+        fresh = [_run_all([argv], outdir, capsys)[0] for argv in calls]
+        assert shared == fresh
+        for (rc, out, err, files), argv in zip(shared, calls):
+            if rc == 2:
+                assert "usage:" in err and not out and not files
+            else:
+                assert rc == 0 and not err
+                # output goes where this call's own --output says
+                assert bool(files) == ("--output" in argv)
+                assert bool(out) != ("--output" in argv)
+
+    def test_namespaces_carry_no_earlier_value(self, monkeypatch):
+        assert ehl.cli._parser() is ehl.cli._parser()
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        monkeypatch.setattr(ehl.cli, "_DISPATCH", dict.fromkeys(ehl.cli._DISPATCH, record))
+        calls = [
+            ["ehl-test", "--input", "x.csv", "--splits", "9", "--output", "o"],
+            ["hl-test", "--input", "y.csv", "--bins", "3", "--output", "o"],
+            ["hl-test", "--input", "y.csv"],
+            ["simulate", "--n", "16"],
+            ["hl-sweep", "--input", "z.csv"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        assert seen == [vars(build_parser().parse_args(argv)) for argv in calls]

@@ -21,9 +21,11 @@ import ehl.evalue
 from ehl.numeric import (
     _RUN_CELLS,
     _SEED_BLOCK,
+    _STABLE_SORT_MIN_N,
     _THREAD_MIN_N,
     _generators,
     _replicates,
+    _stable_order,
     _thread_spans,
     exp_clamped,
     expit_array,
@@ -330,3 +332,62 @@ class TestThreadSpans:
         assert recorded_pools == []
         assert run(2) == serial
         assert recorded_pools == [2]
+
+
+def _sort_inputs():
+    """Forecast arrays by name: the sizes around the kernel's floor, ties,
+    signed zeros, boundary values and NaN."""
+    rng = np.random.default_rng(28)
+    m = _STABLE_SORT_MIN_N
+    cases = {
+        "n=0": np.array([]),
+        "n=1": np.array([0.5]),
+        "n=2 tied": np.array([0.5, 0.5]),
+        "n=2 descending": np.array([0.7, 0.2]),
+        "all equal": np.full(3 * m, 0.3),
+        "signed zeros": rng.choice([0.0, -0.0, 0.5], 3 * m),
+        "boundary values": rng.choice([0.0, 1.0, 0.25], 3 * m),
+        "boundary and continuous": np.concatenate(([1.0, 0.0] * m, rng.random(m))),
+        "nan": np.where(rng.random(3 * m) < 0.1, np.nan, np.round(rng.random(3 * m), 2)),
+        "all nan": np.full(m + 1, np.nan),
+        "float32 two-decimal": np.round(rng.random(3 * m), 2).astype(np.float32),
+        "int64 ties": rng.integers(0, 50, 3 * m),
+    }
+    for n in (m - 1, m, m + 1, 20000):
+        cases[f"continuous n={n}"] = rng.random(n)
+        cases[f"two-decimal n={n}"] = np.round(rng.random(n), 2)
+    return cases
+
+
+_SORT_INPUTS = _sort_inputs()
+
+
+def _assert_stable_order(p):
+    expected = np.argsort(p, kind="stable")
+    got = _stable_order(p)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("name", list(_SORT_INPUTS))
+    def test_equals_the_stable_argsort(self, name):
+        _assert_stable_order(_SORT_INPUTS[name])
+
+    @pytest.mark.parametrize("name", list(_SORT_INPUTS))
+    def test_tie_repair_at_every_size(self, name, monkeypatch):
+        # with the floor at 2 the default sort and repair run on every input
+        monkeypatch.setattr(ehl.numeric, "_STABLE_SORT_MIN_N", 2)
+        _assert_stable_order(_SORT_INPUTS[name])
+
+    def test_signed_zeros_keep_index_order(self, monkeypatch):
+        monkeypatch.setattr(ehl.numeric, "_STABLE_SORT_MIN_N", 2)
+        p = np.array([0.0, 0.5, -0.0, 0.0, -0.0])
+        order = _stable_order(p)
+        assert order.tolist() == [0, 2, 3, 4, 1]
+        assert np.signbit(p[order]).tolist() == [False, True, False, True, False]
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "two-decimal"])
+    def test_a_million_rows(self, rounded):
+        p = np.random.default_rng(29).random(10**6)
+        _assert_stable_order(np.round(p, 2) if rounded else p)
