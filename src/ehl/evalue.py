@@ -12,8 +12,10 @@ and has expectation 1 whenever y is Bernoulli(p). Three tests build on it:
   running product is a nonnegative martingale under calibration.
 * exact: the sequential product averaged over all n! presentation orders,
   as a recursion over the 2^n prefix sets that computes each factor once
-  per (prefix set, next index), so only small samples are allowed; it sums
-  in another order than a per-permutation sum, equal to 1e-12 relative.
+  per (prefix set, next index), all factors of one set in one pass over
+  its pooled prefix and suffix stacks, so only small samples are allowed;
+  it sums in another order than a per-permutation sum, equal to 1e-12
+  relative.
 * split: repeated sample splitting; each replicate fits a Laplace-smoothed
   isotonic curve on a random estimation part and evaluates the product of
   likelihood ratios on the holdout, and the replicates are averaged. The
@@ -39,17 +41,26 @@ from .data import SampleSet, _train_size
 from .errors import BoundaryForecastError, ExactSizeError, InputError
 from .isotonic import (
     _PrefixBlocks,
+    _fixed_set_values,
     _merge_sorted,
     _oos_value,
     _pool_blocks,
     _smoothed_values,
 )
-from .numeric import _replicates, _stable_order, exp_clamped, logsumexp, seed_key
+from .numeric import (
+    _logaddexp,
+    _replicates,
+    _stable_order,
+    exp_clamped,
+    logsumexp,
+    seed_key,
+)
 
 DEFAULT_THRESHOLD = 20.0
-# largest sample the exact variant accepts, whatever n_max is: n = 14 visits
-# 2^14 prefix sets in 2.0-2.2 s of CPU on one core of a 2-core Intel Xeon
-EXACT_N_LIMIT = 14
+# largest sample the exact variant accepts, whatever n_max is: n = 16 visits
+# 2^16 prefix sets in 1.1-1.7 s of CPU on one core of a 2-core Intel Xeon,
+# n = 17 took 2.4-3.2 s
+EXACT_N_LIMIT = 16
 
 
 def _require_interior(samples: SampleSet) -> None:
@@ -212,12 +223,13 @@ def exact_symmetrized_evalue(
     prefix sets T: F(T + {j}) accumulates F(T) + log eq_j(T) by log-sum-exp,
     starting from F({}) = 0, and log e = F(all) - log n!. Each factor is
     computed once per (prefix set, next index) with the arithmetic of the
-    sequential test, so the work is about 2^n n / 2 out-of-sample steps,
-    each reading g0 and g1 from one pooling. Each prefix set keeps its
-    pooled blocks, grown from a copy of those of the set without its lowest
-    member by that member's own label alone. The factors are combined in a
-    different order than a sum over permutations; the two agree to 1e-12
-    relative. The result does not depend on the input order.
+    sequential test, so the work is about 2^n n / 2 out-of-sample values.
+    Each set's merged knots are read off one sorted order of the sample,
+    and all of its values come from one pass: its prefixes and suffixes
+    are pooled once into stacks, and each next observation's g0 and g1 are
+    read by popping them. No set's state is kept. The factors are combined
+    in a different order than a sum over permutations; the two agree to
+    1e-12 relative. The result does not depend on the input order.
 
     n is capped at n_max (default 8) and, whatever n_max is, at
     EXACT_N_LIMIT; a larger sample raises ExactSizeError before any work.
@@ -240,25 +252,32 @@ def exact_symmetrized_evalue(
     p = [float(v) for v in samples.p]
     y = [int(v) for v in samples.y]
     full = (1 << n) - 1
-    # pooled blocks of each prefix set: those of the set without its lowest
-    # member, grown by that member
-    states = [_PrefixBlocks.empty()]
-    log_f = np.full(full + 1, -math.inf)
+    # the observations in one sorted order, each with its bit in a mask
+    ranked = sorted((p[i], 1 << i, y[i]) for i in range(n))
+    log_f = [-math.inf] * (full + 1)
     log_f[0] = 0.0
     for mask in range(full):
-        if mask:
-            j0 = (mask & -mask).bit_length() - 1
-            state = states[mask & (mask - 1)].copy()
-            state.step(p[j0], y[j0], labels=(y[j0],))
-            states.append(state)
-        state = states[mask]
-        for j in range(n):
-            if not mask >> j & 1:
-                q = _oos_value(*state.step(p[j]))
-                term = log_f[mask] + _log_eq_scalar(p[j], y[j], q)
-                grown = mask | 1 << j
-                log_f[grown] = np.logaddexp(log_f[grown], term)
-    log_e = float(log_f[full]) - math.log(math.factorial(n))
+        # the set's merged knots, read off that order
+        knots: list[float] = []
+        w: list[int] = []
+        s: list[int] = []
+        for pi, bit, yi in ranked:
+            if mask & bit:
+                if knots and knots[-1] == pi:
+                    w[-1] += 1
+                    s[-1] += yi
+                else:
+                    knots.append(pi)
+                    w.append(1)
+                    s.append(yi)
+        rest = [j for j in range(n) if not mask >> j & 1]
+        values = _fixed_set_values(knots, w, s, [p[j] for j in rest])
+        base = log_f[mask]
+        for j, (g0, g1) in zip(rest, values):
+            term = base + _log_eq_scalar(p[j], y[j], _oos_value(g0, g1))
+            grown = mask | 1 << j
+            log_f[grown] = _logaddexp(log_f[grown], term)
+    log_e = log_f[full] - math.log(math.factorial(n))
     return EValueReport.from_log("exact", log_e, threshold=threshold)
 
 

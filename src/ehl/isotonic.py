@@ -46,6 +46,16 @@ right side's blocks and the neighbours go on by the stack rule. So g1 and
 g0 come from the same integers as a full refit, and a step costs about the
 knot count of the holding block.
 
+Many new points against one fixed sample, as in the exact e-value, go
+another way. Every prefix of the sample's knots is pooled once, left to
+right, and every suffix once, right to left; each block links to the block
+under it, so every intermediate stack stays readable from its top block. A
+point's block starts from its own knot, pops the stack of the knots below
+it by the stack rule, then pools in the blocks of the knots above it,
+popping again after each merge, until one of them does not pool. By the
+same order independence those are the integers of a full refit, and a
+point costs the blocks it pools.
+
 The Laplace-smoothed fit replaces each pooled block mean (sum / count) by
 (0.5 + sum) / (count + 1), which is strictly inside (0, 1), and predicts
 between knots by linear interpolation with constant extension beyond the
@@ -57,7 +67,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -203,8 +213,8 @@ class _PrefixBlocks:
     and outcome sum at each knot; bw, bs and bk are the pooled blocks as
     Python ints (count, outcome sum, knots covered), and bf each block's
     first knot. One step pools the two sides of the block that holds the
-    new point once, reads the fitted value there for each label asked for,
-    and adds the observation with its own label when given one.
+    new point once, reads the fitted value there for each label, and adds
+    the observation with its own label when given one.
     """
 
     __slots__ = ("knots", "w", "s", "bw", "bs", "bk", "bf")
@@ -229,15 +239,11 @@ class _PrefixBlocks:
         bw, bs, bk = _pool_blocks(w, s)
         return cls(kl, w, s, bw, bs, bk, _first_knots(kl, 0, bk))
 
-    def copy(self) -> "_PrefixBlocks":
-        return _PrefixBlocks(self.knots[:], self.w.copy(), self.s.copy(),
-                             self.bw[:], self.bs[:], self.bk[:], self.bf[:])
-
-    def step(self, p: float, y: int | None = None, labels: Sequence[int] = (0, 1)) -> list[float]:
-        """Fitted value at p after adding an observation at p, for each
-        label in labels: [g0, g1] by default. The holding block's knots left
-        and right of p pool once for all labels; with y, one of labels, the
-        observation (p, y) is also added to the state."""
+    def step(self, p: float, y: int | None = None) -> list[float]:
+        """[g0, g1]: the fitted value at p after adding an observation at p
+        with outcome 0 or 1. The holding block's knots left and right of p
+        pool once for both; with y, the observation (p, y) is also added to
+        the state."""
         knots, w, s, bw, bs, bk = self.knots, self.w, self.s, self.bw, self.bs, self.bk
         if bw:
             # the block holding p: the last one whose first knot is at most
@@ -252,13 +258,13 @@ class _PrefixBlocks:
         # The label enters only at knot j, so each side of the holding block
         # pools once; the left side's blocks have means above the holding
         # block's left neighbour, so they start the stack. An empty side skips
-        # the numpy slicing, which costs the exact variant's tiny states most.
+        # the numpy slicing, which costs small holding blocks most.
         left = _pool_blocks(w[a:j], s[a:j]) if a < j else ([], [], [])
         right = _pool_blocks(w[j + tie:b], s[j + tie:b]) if j + tie < b else ([], [], [])
         jw, js = (w.item(j) + 1, s.item(j)) if tie else (1, 0)
         nb = len(bw)
         values = []
-        for label in labels:
+        for label in (0, 1):
             # The stack rule outward: tw, ts, tk is the stack above the left
             # blocks bw[:lo], whose knots start at index start. Knot j's
             # block goes on, then the right side's blocks, then right blocks
@@ -317,6 +323,75 @@ class _PrefixBlocks:
             bk[lo:hi] = tk
             self.bf[lo:hi] = _first_knots(knots, start, tk)
         return values
+
+
+def _fixed_set_values(
+    knots: list[float], w: list[int], s: list[int], points: Iterable[float]
+) -> list[list[float]]:
+    """[g0, g1] at each point for one fixed sample: the fitted values at the
+    point after adding an observation there with outcome 0 or 1. The sample
+    is given as its sorted merged knots with per-knot counts w and outcome
+    sums s, all Python numbers.
+
+    Every prefix of the knots is pooled once, left to right, and every
+    suffix once, right to left, into stacks whose blocks link to the block
+    under them, so that each prefix's and each suffix's blocks are read from
+    their top block. A point at slot j starts from its own knot's block
+    (count 1, or the tied knot's count + 1), pops the stack of the knots
+    below j by the stack rule, then pools in the blocks of the knots above
+    it, popping again after each merge. It stops at the first of those
+    blocks that does not pool, since the later ones have larger means.
+    """
+    m = len(knots)
+    # block i < m tops the pooled stack of the knots [0, i], block m + i
+    # that of the knots [i, m): its count bw, outcome sum bs, and under, the
+    # next block down the stack (-1 at the bottom)
+    bw = w + w
+    bs = s + s
+    under = [-1] * (2 * m)
+    t = -1
+    for i in range(m):
+        cw, cs = bw[i], bs[i]
+        while t >= 0 and bs[t] * cw >= cs * bw[t]:
+            cw += bw[t]
+            cs += bs[t]
+            t = under[t]
+        bw[i], bs[i], under[i] = cw, cs, t
+        t = i
+    t = -1
+    for i in range(2 * m - 1, m - 1, -1):
+        cw, cs = bw[i], bs[i]
+        while t >= 0 and cs * bw[t] >= bs[t] * cw:
+            cw += bw[t]
+            cs += bs[t]
+            t = under[t]
+        bw[i], bs[i], under[i] = cw, cs, t
+        t = i
+    out = []
+    for x in points:
+        j = bisect_left(knots, x)
+        if j < m and knots[j] == x:
+            w0, s0, r = w[j] + 1, s[j], j + 1
+        else:
+            w0, s0, r = 1, 0, j
+        right = m + r if r < m else -1
+        values = []
+        for cs in (s0, s0 + 1):
+            cw, t, u = w0, j - 1, right
+            while True:
+                while t >= 0 and bs[t] * cw >= cs * bw[t]:
+                    cw += bw[t]
+                    cs += bs[t]
+                    t = under[t]
+                if u < 0 or cs * bw[u] < bs[u] * cw:
+                    break
+                cw += bw[u]
+                cs += bs[u]
+                u = under[u]
+            # for sums below 2^53, int / int rounds exactly as numpy int64 division
+            values.append(cs / cw)
+        out.append(values)
+    return out
 
 
 def _oos_value(g0: float, g1: float) -> float:

@@ -33,6 +33,7 @@ _EPS = 1e-16
 _TINY = 1e-300
 # exp() overflows above ~709.78; clamp instead of raising
 _EXP_MAX = 709.0
+_LOG2 = math.log(2.0)
 # smallest sample whose replicates run on worker threads: on a 2-core host,
 # two threads against one took 0.62-0.63 / 0.88-0.93 / 0.67-0.70 of the
 # wall time in split_evalue / bagged_recalibrate (100 bags) /
@@ -104,6 +105,22 @@ def logsumexp(values: Sequence[float] | np.ndarray) -> float:
     if math.isinf(m):
         return math.inf
     return m + math.log(float(np.sum(np.exp(arr - m))))
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp(x, y) of two floats, with its bits and without the cost
+    of a ufunc call on scalars: the formula of numpy's npy_logaddexp, whose
+    exp and log1p are the C library's, as are math's."""
+    if x == y:
+        # equal infinities too, which x - y would turn into nan
+        return x + _LOG2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    # a nan argument
+    return d
 
 
 def _stable_order(p: np.ndarray) -> np.ndarray:

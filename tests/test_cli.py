@@ -19,6 +19,7 @@ from ehl.cli import (
     main_simulate,
 )
 from ehl._version import __version__
+from ehl.evalue import EXACT_N_LIMIT
 
 
 def _write_csv(path, p, y):
@@ -77,11 +78,12 @@ class TestEhlTest:
         assert rc == 0
 
     def test_exact_hard_limit_exit_code(self, tmp_path, capsys):
-        p = np.linspace(0.1, 0.9, 15)
-        f = _write_csv(tmp_path / "big.csv", p, [0] * 15)
-        rc = main(["ehl-test", "--input", f, "--variant", "exact", "--n-max", "20"])
+        n = EXACT_N_LIMIT + 1
+        p = np.linspace(0.1, 0.9, n)
+        f = _write_csv(tmp_path / "big.csv", p, [0] * n)
+        rc = main(["ehl-test", "--input", f, "--variant", "exact", "--n-max", str(n + 5)])
         assert rc == 4
-        assert "hard limit of 14" in capsys.readouterr().err
+        assert f"hard limit of {EXACT_N_LIMIT}" in capsys.readouterr().err
 
     def test_boundary_exit_code(self, tmp_path, capsys):
         f = _write_csv(tmp_path / "b.csv", [0.0, 0.5], [0, 1])

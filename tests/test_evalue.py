@@ -289,7 +289,7 @@ class TestExact:
             assert _bits(got) == _bits(exact_reference(p, y))
 
     def test_time_bound_at_n11(self):
-        # about 1 s on one core; the bound leaves room for slow shared hosts
+        # about 0.03 s on one core; the bound leaves room for slow shared hosts
         rng = np.random.default_rng(17)
         p = np.round(rng.uniform(0.05, 0.95, size=11), 1)
         y = (rng.random(11) < p).astype(int)
@@ -334,7 +334,7 @@ class TestOneLevelOracle:
         # the closed form does not depend on the order, so neither does the
         # permutation average
         for p in (0.5, 0.13, 0.9):
-            for n in (1, 2, 3, 5, 8, 10):
+            for n in (1, 2, 3, 5, 8, 10, EXACT_N_LIMIT):
                 for s in sorted({0, 1, n // 3, n}):
                     y = np.arange(n) < s
                     got = exact_symmetrized_evalue(_samples(np.full(n, p), y), n_max=n)

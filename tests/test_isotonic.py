@@ -14,13 +14,15 @@ from ehl import (
     oos_predict,
     pava_fit,
 )
-from ehl.isotonic import _pool_blocks
+from ehl.isotonic import _fixed_set_values, _oos_value, _pool_blocks
 
 from helpers import (
     farey_staircase,
+    knot_stats,
     laplace_values_reference,
     log_score,
     monotone_grid_max,
+    oos_reference,
     stack_pool_values,
 )
 
@@ -379,6 +381,48 @@ class TestOosPredict:
             oos_predict([float("nan"), 0.3], [1, 0], 0.5)
         with pytest.raises(InputError):
             oos_predict([], [1], 0.5)
+
+
+class TestFixedSetValues:
+    """Many new points against one fixed sample, as the exact e-value asks:
+    every q must have the bits of two full refits."""
+
+    @staticmethod
+    def _assert_refit_bits(p, y, points):
+        knots, w, s = knot_stats(p, y) if len(p) else ([], [], [])
+        values = _fixed_set_values(knots, w, s, points)
+        assert len(values) == len(points)
+        for x, (g0, g1) in zip(points, values):
+            assert _oos_value(g0, g1).hex() == oos_reference(knots, w, s, x).hex()
+
+    def test_empty_set(self):
+        self._assert_refit_bits([], [], [0.05, 0.5, 0.95])
+
+    def test_ties_at_the_ends_and_points_outside_the_knots(self):
+        p = [0.2, 0.2, 0.35, 0.5, 0.5, 0.5, 0.8, 0.8]
+        for y in ([1, 0, 0, 1, 1, 0, 0, 1], [0, 0, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 0, 0, 0, 0]):
+            # the first and the last knot, every other knot, below and above
+            # every knot, and between knots
+            self._assert_refit_bits(p, y, [0.2, 0.8, 0.35, 0.5, 0.01, 0.99, 0.3, 0.6])
+
+    def test_one_block_sets(self):
+        # outcomes falling with p pool every knot into one block
+        p = np.linspace(0.1, 0.9, 9)
+        for y in ((p < 0.45).astype(int), (p < 0.75).astype(int), np.array([1, 1, 1, 0, 1, 0, 0, 0, 0])):
+            knots, w, s = knot_stats(p, y)
+            assert len(_pool_blocks(np.array(w), np.array(s))[0]) == 1
+            self._assert_refit_bits(p, y, [0.05, 0.1, 0.3, 0.55, 0.9, 0.95])
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(53)
+        for t in range(300):
+            n = int(rng.integers(0, 16))
+            p = rng.uniform(0.05, 0.95, n)
+            if t % 2:
+                p = np.clip(np.round(p, 1), 0.1, 0.9)
+            y = (rng.random(n) < rng.choice([0.2, 0.5, 0.8])).astype(int)
+            points = [*p[: n // 2], *rng.uniform(0.0, 1.0, 4), *np.round(rng.uniform(0.05, 0.95, 2), 1)]
+            self._assert_refit_bits(p, y, [float(x) for x in points])
 
 
 class TestLaplace:

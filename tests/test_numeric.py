@@ -24,6 +24,7 @@ from ehl.numeric import (
     _STABLE_SORT_MIN_N,
     _THREAD_MIN_N,
     _generators,
+    _logaddexp,
     _replicates,
     _stable_order,
     _thread_spans,
@@ -145,6 +146,26 @@ class TestLogSumExp:
         assert exp_clamped(800.0) == math.inf
         assert exp_clamped(-math.inf) == 0.0
         assert exp_clamped(0.0) == 1.0
+
+    def test_logaddexp_has_the_bits_of_numpy(self):
+        # the exact e-value accumulates with _logaddexp and must keep the
+        # bits it had with np.logaddexp
+        inf = math.inf
+        pairs = [(-inf, -inf), (-inf, 0.3), (0.3, -inf), (-inf, -750.0), (inf, inf), (inf, 2.0)]
+        pairs += [(v, v) for v in (-745.5, -3.25, 1e-300, 17.0, 708.9)]
+        pairs += [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (-0.0, 1.5), (2.5, 0.0)]
+        for gap in np.logspace(-300, math.log10(800.0), 121).tolist():
+            for x in (-12.5, 0.0, 3.75):
+                pairs += [(x, x + gap), (x + gap, x), (x, x - gap)]
+        for x in (-700.0, 700.0, -709.5, 709.5):
+            pairs += [(x, x + 0.5), (x - 1e-9, x), (x, -x), (x, 0.0)]
+        rng = np.random.default_rng(59)
+        a = rng.normal(0.0, 200.0, 10_000)
+        b = a + rng.normal(0.0, 20.0, a.size) * rng.choice([1e-12, 1.0, 10.0], a.size)
+        pairs += list(zip(a.tolist(), b.tolist()))
+        x, y = (np.array(v) for v in zip(*pairs))
+        got = np.array([_logaddexp(u, v) for u, v in pairs])
+        assert np.array_equal(got.view(np.int64), np.logaddexp(x, y).view(np.int64))
 
 
 def _small_sample(n=24):
