@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -41,6 +42,14 @@ def _fraction(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"fraction {text!r} must lie strictly in (0, 1)")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    # nan and inf would reach the JSON output as the invalid NaN and Infinity
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -108,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--splits", type=_positive_int, default=10000, metavar="B",
                    help="number of splits for the split variant (default 10000)")
     t.add_argument("--seed", type=_nonneg_int, default=0)
-    t.add_argument("--threshold", type=float, default=20.0,
+    t.add_argument("--threshold", type=_positive_float, default=20.0,
                    help="rejection threshold on the e-value (default 20)")
     t.add_argument("--n-max", type=_positive_int, default=8,
                    help="sample-size cap for the exact variant (default 8; samples "
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--binning", choices=METHODS, default="QR")
     h.add_argument("--dof", choices=("g", "g-2"), default="g",
                    help="degrees of freedom: g for out-of-sample forecasts, g-2 in-sample")
-    h.add_argument("--alpha", type=float, default=0.05)
+    h.add_argument("--alpha", type=_fraction, default=0.05)
     h.add_argument("--output")
 
     w = sub.add_parser("hl-sweep", help="chi-square test across all binnings and g=5..20")
@@ -157,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--splits", type=_positive_int, default=10, metavar="B",
                    help="splits per e-value inside the study (default 10)")
     m.add_argument("--seed", type=_nonneg_int, default=0)
-    m.add_argument("--threshold", type=float, default=20.0)
-    m.add_argument("--alpha", type=float, default=0.05)
+    m.add_argument("--threshold", type=_positive_float, default=20.0)
+    m.add_argument("--alpha", type=_fraction, default=0.05)
     m.add_argument("--bins", type=_positive_int, default=10)
     m.add_argument("--binning", choices=METHODS, default="QR")
     m.add_argument("--dof", choices=("g", "g-2"), default="g")

@@ -126,9 +126,12 @@ def load_samples(source: str | Path | IO[str]) -> LabeledSampleSet:
     to its start and through the row-by-row csv loop, so results and
     errors are the same either way; that loop is also the only path for
     sources that cannot seek.
+
+    A UTF-8 byte-order mark, as spreadsheet programs write at the start of
+    a CSV, is skipped, in a file and at the start of a text stream.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", newline="") as fh:
+        with open(source, "r", newline="", encoding="utf-8-sig") as fh:
             return _load(fh)
     return _load(source)
 
@@ -147,7 +150,7 @@ def _load(fh: IO[str]) -> LabeledSampleSet:
 def _load_numeric(fh: IO[str]) -> LabeledSampleSet | None:
     """The sample, when every row is plain numbers that pass the row rules;
     None otherwise, with fh left anywhere."""
-    line = fh.readline()
+    line = fh.readline().removeprefix("\ufeff")
     # a quoted header field may run on over later lines
     if '"' in line:
         return None
@@ -184,6 +187,8 @@ def _load_rows(fh: IO[str]) -> LabeledSampleSet:
     header = reader.fieldnames
     if header is None:
         raise InputError("empty input: no CSV header")
+    if header and header[0].startswith("\ufeff"):
+        header = reader.fieldnames = [header[0][1:], *header[1:]]
     for required in ("p", "y"):
         if required not in header:
             raise InputError(f"missing required column {required!r} (header: {header})")

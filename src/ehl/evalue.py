@@ -44,7 +44,7 @@ from .isotonic import (
     _fixed_set_values,
     _merge_sorted,
     _oos_value,
-    _pool_blocks,
+    _pool_rows,
     _smoothed_values,
 )
 from .numeric import (
@@ -91,6 +91,10 @@ def eq_single(p: float, y: int, q: float) -> float:
     return (1.0 - q) / (1.0 - p)
 
 
+# log eq is spelled twice, with math for the sequential and exact variants
+# and with numpy for whole arrays, and the two cannot merge without changing
+# output bits: on 10^6 uniform values np.log differs from math.log in about
+# 3,500 and np.log1p from math.log1p in about 73,600 (numpy 2.4, x86-64).
 def _log_eq_scalar(p: float, y: int, q: float) -> float:
     # q comes from _oos_value, strictly inside (0, 1): g1 >= 1/cw and
     # 1 - g0 >= 1/cw for the count cw of the block that holds the new point
@@ -100,7 +104,8 @@ def _log_eq_scalar(p: float, y: int, q: float) -> float:
 
 
 def _log_eq_terms(p: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vectorized log eq for strictly interior p and q."""
+    """Vectorized log eq for strictly interior p and q; not the bits of
+    _log_eq_scalar, whose math.log and math.log1p round differently."""
     return np.where(
         y == 1,
         np.log(q) - np.log(p),
@@ -199,7 +204,7 @@ def sequential_evalue(
     p = samples.p
     y = samples.y
     n = len(samples)
-    state = _PrefixBlocks.empty()
+    state = _PrefixBlocks()
     log_e = 0.0
     path = []
     for i in range(n):
@@ -299,8 +304,8 @@ def _split_log_e(
     e-values, and neither value depends on whether the other is taken.
 
     The replicates of a run are fitted together, one row each of a
-    c x n array: one pass finds every row's knots, one _pool_blocks call
-    pools them with a barrier at each row, and the holdout is interpolated
+    c x n array: one pass finds every row's knots, one _pool_rows call
+    pools them with each row kept apart, and the holdout is interpolated
     in sorted order, one np.interp per row. Every step is per element or
     per row, and each row sums its terms in holdout index order, so every
     value has the bits of a replicate fitted on its own.
@@ -343,9 +348,10 @@ def _split_log_e(
         fit_at = np.flatnonzero(taken)
         cols = (fit_at.reshape(c, k) - offs).ravel()
         knots, w, sums = _merge_sorted(ps[cols], ys[cols], width=k)
-        first = (np.cumsum(w) - w) % k == 0
-        values = _smoothed_values(*_pool_blocks(w, sums, first))
-        cuts = np.append(np.flatnonzero(first), knots.shape[0]).tolist()
+        # each knot's row: that of its first observation in the flat array
+        row = (np.cumsum(w) - w) // k
+        values = _smoothed_values(*_pool_rows(w, sums, row))
+        cuts = np.searchsorted(row, np.arange(c + 1)).tolist()
         hold_at = np.flatnonzero(~taken)
         hcols = hold_at.reshape(c, h) - offs
         xs = ps[hcols]

@@ -25,9 +25,10 @@ pooling adjacent violators in any order reaches the same unique isotonic
 solution (Best & Chakravarti 1990; de Leeuw, Hornik & Mair 2009), so every
 block has the same integer sum and count, hence the same float mean, as
 under the stack algorithm alone. The work is O(m) for m knots because the
-passes shrink the block count geometrically. Several fits laid end to end
-pool in one call when a barrier marks each fit's first knot: no pass pools
-across a barrier, and the stack finishes each fit on its own.
+passes shrink the block count geometrically. Fits laid end to end pool in
+one call with fit r's outcome sums raised by 2 r times its counts: no block
+pools across fits, and for c fits of k observations products stay at most
+2 c k^2.
 
 The out-of-sample value at a new point is defined through two augmented
 fits, one with an artificial success and one with an artificial failure
@@ -36,25 +37,25 @@ appended at the new point:
     q = g1 / (g1 + 1 - g0)
 
 where g1 and g0 are the augmented fitted values there. An empty prefix
-gives q = 1/2. The prefix is kept as its pooled blocks; by the same order
-independence, only the block that holds the new point pools again. The
-label enters only at the new point's knot, so that block's knots left and
-right of the point pool once for both labels. A pooled block's prefix means
-are never below its mean (Barlow, Bartholomew, Bremner & Brunk 1972), so
-the left side's blocks start the stack as they are, and the new knot, the
-right side's blocks and the neighbours go on by the stack rule. So g1 and
-g0 come from the same integers as a full refit, and a step costs about the
-knot count of the holding block.
+gives q = 1/2. The sequential e-value keeps its growing prefix as pooled
+blocks; by the same order independence, only the block that holds the new
+point pools again. The label enters only at the new point's knot, so that
+block's knots left and right of the point pool once for both labels. A
+pooled block's prefix means are never below its mean (Barlow, Bartholomew,
+Bremner & Brunk 1972), so the left side's blocks start the stack as they
+are, and the new knot, the right side's blocks and the neighbours go on by
+the stack rule. So g1 and g0 come from the same integers as a full refit,
+and a step costs about the knot count of the holding block.
 
-Many new points against one fixed sample, as in the exact e-value, go
-another way. Every prefix of the sample's knots is pooled once, left to
-right, and every suffix once, right to left; each block links to the block
-under it, so every intermediate stack stays readable from its top block. A
-point's block starts from its own knot, pops the stack of the knots below
-it by the stack rule, then pools in the blocks of the knots above it,
-popping again after each merge, until one of them does not pool. By the
-same order independence those are the integers of a full refit, and a
-point costs the blocks it pools.
+New points against one fixed sample, in the exact e-value and in
+oos_predict, go another way. Every prefix of the sample's knots is pooled
+once, left to right, and every suffix once, right to left; each block links
+to the block under it, so every intermediate stack stays readable from its
+top block. A point's block starts from its own knot, pops the stack of the
+knots below it by the stack rule, then pools in the blocks of the knots
+above it, popping again after each merge, until one of them does not pool.
+By the same order independence those are the integers of a full refit, and
+a point costs the blocks it pools.
 
 The Laplace-smoothed fit replaces each pooled block mean (sum / count) by
 (0.5 + sum) / (count + 1), which is strictly inside (0, 1), and predicts
@@ -101,21 +102,15 @@ def _stack_pool(
     return bw, bs, bk
 
 
-def _pool_blocks(
-    w: np.ndarray, s: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[list[int], list[int], list[int]]:
+def _pool_blocks(w: np.ndarray, s: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     """Pooled blocks, given per-knot counts w and outcome sums s (int64, in
     knot order): Python-int lists of each block's count, outcome sum and
     number of knots, in knot order, with strictly increasing means.
-
-    rows, when given, is True at the first knot of each of several fits laid
-    end to end. No block pools across such a barrier, so each fit's blocks
-    are those it would get on its own.
     """
     bw = np.asarray(w, dtype=np.int64)
     bs = np.asarray(s, dtype=np.int64)
     m = bw.shape[0]
-    if m <= _STACK_BLOCKS and rows is None:
+    if m <= _STACK_BLOCKS:
         return _stack_pool(bw.tolist(), bs.tolist(), [1] * m)
     bk = np.ones(m, dtype=np.int64)
     # Phase 1: pool every maximal run of adjacent violators at once. A block
@@ -124,38 +119,33 @@ def _pool_blocks(
         new = np.empty(m, dtype=bool)
         new[0] = True
         np.less(bs[:-1] * bw[1:], bs[1:] * bw[:-1], out=new[1:])
-        if rows is not None:
-            new |= rows
         starts = np.flatnonzero(new)
         if starts.shape[0] == m:
             return bw.tolist(), bs.tolist(), bk.tolist()
         bw = np.add.reduceat(bw, starts)
         bs = np.add.reduceat(bs, starts)
         bk = np.add.reduceat(bk, starts)
-        if rows is not None:
-            rows = rows[starts]
         # a staircase under a heavy block shrinks by one block per pass
         if 2 * starts.shape[0] > m:
             break
         m = starts.shape[0]
     # Phase 2: the stack algorithm finishes on the surviving blocks.
-    if rows is None:
-        return _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
-    return _stack_pool_rows(bw, bs, bk, rows)
+    return _stack_pool(bw.tolist(), bs.tolist(), bk.tolist())
 
 
-def _stack_pool_rows(
-    bw: np.ndarray, bs: np.ndarray, bk: np.ndarray, rows: np.ndarray
-) -> tuple[list[int], list[int], list[int]]:
-    """Phase 2 of _pool_blocks over several fits: the stack algorithm on
-    each fit in turn, so that no pop crosses a barrier."""
-    cuts = np.append(np.flatnonzero(rows), bw.shape[0]).tolist()
-    lw, ls, lk = bw.tolist(), bs.tolist(), bk.tolist()
-    out: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for a, b in zip(cuts, cuts[1:]):
-        for pooled, part in zip(out, _stack_pool(lw[a:b], ls[a:b], lk[a:b])):
-            pooled += part
-    return out
+def _pool_rows(
+    w: np.ndarray, s: np.ndarray, row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """_pool_blocks of fits laid end to end, row[i] the fit of knot i (0, 1,
+    ... in order), as if each were pooled alone; counts and sums as int64.
+
+    Adding 2 r w lifts fit r's means into [2r, 2r + 1], as 0 <= s <= w, so
+    no block pools across fits, and a block's sum is bs + 2 r bw with
+    0 <= bs <= bw: r = sum // (2 bw), and the remainder is bs exactly.
+    """
+    bw, bs, bk = _pool_blocks(w, s + 2 * row * w)
+    bw = np.array(bw, dtype=np.int64)
+    return bw, np.array(bs, dtype=np.int64) % (2 * bw), bk
 
 
 def _smoothed_values(bw, bs, bk) -> np.ndarray:
@@ -207,43 +197,32 @@ def _first_knots(knots: list[float], start: int, sizes: list[int]) -> list[float
 
 
 class _PrefixBlocks:
-    """A sample kept as its pooled blocks, for out-of-sample steps.
+    """The sequential e-value's prefix, from empty, as its pooled blocks.
 
     knots is the sorted list of distinct forecasts, w and s the int64 count
     and outcome sum at each knot; bw, bs and bk are the pooled blocks as
     Python ints (count, outcome sum, knots covered), and bf each block's
     first knot. One step pools the two sides of the block that holds the
     new point once, reads the fitted value there for each label, and adds
-    the observation with its own label when given one.
+    the observation with its own label.
     """
 
     __slots__ = ("knots", "w", "s", "bw", "bs", "bk", "bf")
 
-    def __init__(self, knots, w, s, bw, bs, bk, bf):
-        self.knots = knots
-        self.w = w
-        self.s = s
-        self.bw = bw
-        self.bs = bs
-        self.bk = bk
-        self.bf = bf
+    def __init__(self) -> None:
+        self.knots: list[float] = []
+        self.w = np.empty(0, np.int64)
+        self.s = np.empty(0, np.int64)
+        self.bw: list[int] = []
+        self.bs: list[int] = []
+        self.bk: list[int] = []
+        self.bf: list[float] = []
 
-    @classmethod
-    def empty(cls) -> "_PrefixBlocks":
-        return cls([], np.empty(0, np.int64), np.empty(0, np.int64), [], [], [], [])
-
-    @classmethod
-    def fit(cls, knots: np.ndarray, w: np.ndarray, s: np.ndarray) -> "_PrefixBlocks":
-        """State of merged knots with per-knot counts w and outcome sums s."""
-        kl = knots.tolist()
-        bw, bs, bk = _pool_blocks(w, s)
-        return cls(kl, w, s, bw, bs, bk, _first_knots(kl, 0, bk))
-
-    def step(self, p: float, y: int | None = None) -> list[float]:
+    def step(self, p: float, y: int) -> list[float]:
         """[g0, g1]: the fitted value at p after adding an observation at p
         with outcome 0 or 1. The holding block's knots left and right of p
-        pool once for both; with y, the observation (p, y) is also added to
-        the state."""
+        pool once for both; then the observation (p, y) is added to the
+        state."""
         knots, w, s, bw, bs, bk = self.knots, self.w, self.s, self.bw, self.bs, self.bk
         if bw:
             # the block holding p: the last one whose first knot is at most
@@ -309,19 +288,18 @@ class _PrefixBlocks:
                     break
             if label == y:
                 grown = lo, hi, start, tw, ts, tk
-        if y is not None:
-            lo, hi, start, tw, ts, tk = grown
-            if tie:
-                w[j] += 1
-                s[j] += y
-            else:
-                knots.insert(j, p)
-                self.w = _splice(w, j, 1)
-                self.s = _splice(s, j, y)
-            bw[lo:hi] = tw
-            bs[lo:hi] = ts
-            bk[lo:hi] = tk
-            self.bf[lo:hi] = _first_knots(knots, start, tk)
+        lo, hi, start, tw, ts, tk = grown
+        if tie:
+            w[j] += 1
+            s[j] += y
+        else:
+            knots.insert(j, p)
+            self.w = _splice(w, j, 1)
+            self.s = _splice(s, j, y)
+        bw[lo:hi] = tw
+        bs[lo:hi] = ts
+        bk[lo:hi] = tk
+        self.bf[lo:hi] = _first_knots(knots, start, tk)
         return values
 
 
@@ -469,16 +447,23 @@ class SmoothedFit:
             raise InputError("smoothed values must lie strictly inside (0, 1)")
 
 
+def _merged(samples) -> tuple[np.ndarray, ...]:
+    """A sample's stable sort order by forecast, its int64 outcomes in that
+    order, and its distinct forecasts with their int64 counts and outcome
+    sums. samples is any object with ``p`` and ``y`` array attributes."""
+    p = np.asarray(samples.p, dtype=float)
+    order = _stable_order(p)
+    ys = np.asarray(samples.y, dtype=np.int64)[order]
+    return (order, ys, *_merge_sorted(p[order], ys))
+
+
 def pava_fit(samples) -> IsotonicFit:
     """Isotonic fit of outcomes on forecasts via pool-adjacent-violators.
 
     Accepts any object with ``p`` and ``y`` array attributes. Ties in p are
     merged before pooling, so the result is invariant to input order.
     """
-    order = _stable_order(samples.p)
-    ps = np.asarray(samples.p, dtype=float)[order]
-    ys = np.asarray(samples.y, dtype=np.int64)[order]
-    knots, w, s = _merge_sorted(ps, ys)
+    knots, w, s = _merged(samples)[2:]
     return IsotonicFit(knots, w, s, *_pool_blocks(w, s))
 
 
@@ -535,13 +520,13 @@ def oos_predict(
     Fits twice with an artificial observation at p_new, once a success and
     once a failure, and combines the fitted values g1 and g0 there as
     g1 / (g1 + 1 - g0). The empty prefix yields 1/2. The result is a valid
-    probability and is nondecreasing in p_new for a fixed prefix.
+    probability and is nondecreasing in p_new for a fixed prefix. g0 and
+    g1 come from the exact e-value's routine, _fixed_set_values.
     """
     if not 0.0 <= p_new <= 1.0:
         raise InputError(f"p_new must lie in [0, 1], got {p_new!r}")
     if np.size(prefix_p) == 0 and np.size(prefix_y) == 0:
         return 0.5
-    prefix = SampleSet(prefix_p, prefix_y)
-    order = _stable_order(prefix.p)
-    state = _PrefixBlocks.fit(*_merge_sorted(prefix.p[order], prefix.y[order]))
-    return _oos_value(*state.step(float(p_new)))
+    knots, w, s = (a.tolist() for a in _merged(SampleSet(prefix_p, prefix_y))[2:])
+    (values,) = _fixed_set_values(knots, w, s, [float(p_new)])
+    return _oos_value(*values)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .data import SampleSet
 from .errors import InputError
-from .isotonic import SmoothedFit, _block_ends_fit, _merge_sorted
-from .numeric import _replicates, _stable_order, seed_key
+from .isotonic import SmoothedFit, _block_ends_fit, _merged
+from .numeric import _replicates, seed_key
 
 DEFAULT_BAGS = 100
 DEFAULT_BAND = (0.01, 0.99)
@@ -106,14 +106,6 @@ def _curve_from_fits(
         q_low = np.quantile(values, band[0], axis=0)
         q_high = np.quantile(values, band[1], axis=0)
     return RecalCurve(grid, mean, q_low, q_high, band, len(fits), fits)
-
-
-def _merged(recal: SampleSet) -> tuple[np.ndarray, ...]:
-    """The sample's stable sort order, its outcomes in that order, and its
-    distinct forecasts with their int64 counts and outcome sums."""
-    order = _stable_order(recal.p)
-    ys = recal.y[order]
-    return (order, ys, *_merge_sorted(recal.p[order], ys))
 
 
 def isotonic_recalibrate(recal: SampleSet, grid_size: int = DEFAULT_GRID_SIZE) -> RecalCurve:

@@ -401,6 +401,9 @@ def load_rows_reference(fh):
     header = reader.fieldnames
     if header is None:
         raise InputError("empty input: no CSV header")
+    # a leading UTF-8 byte-order mark is not part of the first column's name
+    if header and header[0].startswith("\ufeff"):
+        header = reader.fieldnames = [header[0][1:], *header[1:]]
     for required in ("p", "y"):
         if required not in header:
             raise InputError(f"missing required column {required!r} (header: {header})")

@@ -432,6 +432,20 @@ class TestEntryPoints:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["ehl-test", "--input", "in.csv", "--threshold", value] for value in ("nan", "inf", "0", "-1")
+    ] + [
+        ["hl-test", "--input", "in.csv", "--alpha", value] for value in ("nan", "2", "0", "1")
+    ] + [
+        ["simulate", "--threshold", "nan"], ["simulate", "--alpha", "inf"],
+    ])
+    def test_bad_threshold_or_alpha_exits_2_at_parse_time(self, argv, capsys):
+        # nan and inf would print the invalid JSON tokens NaN and Infinity
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
 
 def _run_all(calls, outdir, capsys):
     """Run main on each argv in turn, with {out} in an argv standing for

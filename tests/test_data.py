@@ -102,6 +102,18 @@ class TestLoad:
         with pytest.raises(InputError, match="missing required column"):
             _load_text("p,z\n0.5,1\n")
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with a byte-order mark: it
+        # is skipped on the numpy path and on the row loop, which a quoted
+        # cell forces, in a file, a text stream and one that cannot seek
+        path = tmp_path / "bom.csv"
+        for body in ("0.5,1\n0.25,0\n", '"0.5",1\n0.25,0\n'):
+            path.write_text("p,y\n" + body, encoding="utf-8-sig")
+            text = "\ufeffp,y\n" + body
+            for source in (path, io.StringIO(text), _NoSeek(text)):
+                s = load_samples(source)
+                assert list(s.p) == [0.5, 0.25] and list(s.y) == [1, 0]
+
     def test_empty_inputs(self):
         with pytest.raises(InputError, match="no CSV header"):
             _load_text("")

@@ -14,7 +14,8 @@ from ehl import (
     oos_predict,
     pava_fit,
 )
-from ehl.isotonic import _fixed_set_values, _oos_value, _pool_blocks
+from ehl.isotonic import _fixed_set_values, _oos_value, _pool_blocks, _pool_rows
+from ehl.numeric import _RUN_CELLS
 
 from helpers import (
     farey_staircase,
@@ -217,26 +218,43 @@ def test_pooled_block_prefix_means_are_at_least_the_block_mean():
         assert np.all(ss * W <= S * sw)
 
 
+def _assert_rows_pool_apart(group):
+    """_pool_rows on the fits of group laid end to end gives each fit's own
+    blocks, in order; returns whether _pool_blocks on them does not."""
+    w = np.concatenate([gw for gw, _ in group])
+    s = np.concatenate([gs for _, gs in group])
+    row = np.repeat(np.arange(len(group)), [gw.shape[0] for gw, _ in group])
+    want = ([], [], [])
+    for gw, gs in group:
+        for out, part in zip(want, _pool_blocks(gw, gs)):
+            out += part
+    bw, bs, bk = _pool_rows(w, s, row)
+    assert bw.dtype == bs.dtype == np.int64
+    assert (bw.tolist(), bs.tolist(), bk) == want
+    return _pool_blocks(w, s) != want
+
+
 def test_row_barriers_pool_each_fit_as_on_its_own():
     # fits of the kernel corpus laid end to end in groups, so that a falling
-    # fit often follows a rising one and would pool into it across the
-    # barrier; staircases make the passes stop early, so the stack finishes
+    # fit often follows a rising one and would pool into it were it not
+    # lifted above it; staircases make the passes stop early, so the stack
+    # finishes
     corpus = list(_kernel_corpus())
     rng = np.random.default_rng(12)
     crossed = 0
     for lo in range(0, len(corpus), 7):
-        group = [corpus[i] for i in rng.permutation(np.arange(lo, min(lo + 7, len(corpus))))]
-        w = np.concatenate([gw for gw, _ in group])
-        s = np.concatenate([gs for _, gs in group])
-        rows = np.zeros(w.shape[0], dtype=bool)
-        rows[np.cumsum([0] + [gw.shape[0] for gw, _ in group[:-1]])] = True
-        want = ([], [], [])
-        for gw, gs in group:
-            for out, part in zip(want, _pool_blocks(gw, gs)):
-                out += part
-        assert _pool_blocks(w, s, rows) == want
-        crossed += _pool_blocks(w, s) != want
+        order = rng.permutation(np.arange(lo, min(lo + 7, len(corpus))))
+        crossed += _assert_rows_pool_apart([corpus[i] for i in order])
     assert crossed > 0
+    # the tightest boundary: every row ends in a block of mean 1 and the
+    # next starts with a block of mean 0, over as many rows as one run of
+    # the split engine holds at n = 64 and s = 1/2
+    n = 64
+    c, k = _RUN_CELLS // n, n // 2
+    s = (rng.random((c, k)) < 0.5).astype(np.int64)
+    s[:, 0], s[:, -1] = 0, 1
+    w = np.ones(k, np.int64)
+    assert _assert_rows_pool_apart([(w, row) for row in s])
 
 
 def _laplace_corpus():
