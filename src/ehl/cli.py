@@ -74,9 +74,9 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from None
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _positive_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(_positive_int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="Monte Carlo power study")
     m.add_argument("--j", type=_float_list, default=(0.0,), metavar="J1,J2,...",
                    help="miscalibration levels (default 0)")
-    m.add_argument("--n", type=_int_list, default=(1024,), metavar="N1,N2,...")
+    m.add_argument("--n", type=_positive_int_list, default=(1024,), metavar="N1,N2,...")
     m.add_argument("--s", type=_fraction_list, default=(1.0 / 3.0, 0.5, 2.0 / 3.0),
                    metavar="S1,S2,...",
                    help="train fractions for the split e-value (default 1/3,1/2,2/3)")

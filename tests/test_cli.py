@@ -446,6 +446,16 @@ class TestEntryPoints:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, named", [("0", "'0'"), ("-4", "'-4'"), ("16,0", "'0'")])
+    def test_nonpositive_simulate_n_exits_2_at_parse_time(self, value, named, capsys):
+        # 0 once divided by zero in the run sizing, and -4 was reported as the
+        # doubled size the generator draws
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --n" in err and f"got {named}" in err
+
 
 def _run_all(calls, outdir, capsys):
     """Run main on each argv in turn, with {out} in an argv standing for

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import time
@@ -23,6 +24,7 @@ from ehl import (
 )
 import ehl.numeric
 from ehl.evalue import EXACT_N_LIMIT, _split_log_e
+from ehl.isotonic import _WIDE, _PrefixBlocks, _pool_blocks
 from ehl.numeric import _replicates
 
 from helpers import (
@@ -185,9 +187,9 @@ class TestSequential:
         }
 
     # The cost the README states, held with room for slow shared hosts. On a
-    # 2-core x86 server typical data takes 0.45-0.65 s at n = 10^4, and one
-    # block holding every knot, the worst case of the block-local step,
-    # 0.5-0.65 s at n = 4000.
+    # 2-core x86 server typical data takes 0.40-0.42 s at n = 10^4, and one
+    # block holding every knot, the worst case of the step, where every
+    # stretch is wide and re-pools in numpy, 0.38-0.40 s at n = 4000.
     def test_time_bound_on_typical_data(self):
         rng = np.random.default_rng(37)
         p = rng.uniform(0.02, 0.98, 10_000)
@@ -206,6 +208,156 @@ class TestSequential:
         report = sequential_evalue(_samples(p, y))
         assert time.perf_counter() - start < 20.0
         assert len(report.path) == p.size and math.isfinite(report.log_e)
+
+
+def _fresh_stack_nodes(w, s, rising):
+    """The top node of the stack after each push of the knots (w[i], s[i])
+    by the stack rule, pooling left to right (rising) or right to left on
+    the knots given reversed: (count, outcome sum, index of the knot below
+    the node's first, -1 at the bottom)."""
+    out, stack = [], []
+    for i, (cw, cs) in enumerate(zip(w, s)):
+        first = i
+        while stack and (
+            stack[-1][1] * cw >= cs * stack[-1][0] if rising
+            else cs * stack[-1][0] >= stack[-1][1] * cw
+        ):
+            tw, ts, first = stack.pop()
+            cw += tw
+            cs += ts
+        stack.append((cw, cs, first))
+        out.append((cw, cs, first - 1))
+    return out
+
+
+def _chain(nodes, i):
+    """Index i and the indices under it in the stack of fresh nodes."""
+    while i >= 0:
+        yield i
+        i = nodes[i][2]
+
+
+def _check_prefix_state(state, w, s):
+    """The pooled blocks of _PrefixBlocks are _pool_blocks of its merged
+    prefix (per-knot counts w and sums s); each block's end nodes are the
+    whole block linked to its neighbours; and every node its watermarks mark
+    valid, and every node under its tops, equals a fresh stack's, pooled
+    from the block's first knot (P) or to its last knot (S)."""
+    ids = state.ids
+    assert [state.kn[k][:2] for k in ids] == list(zip(w, s))
+    bw, bs, bk = _pool_blocks(np.array(w, np.int64), np.array(s, np.int64))
+    assert state.bk == bk
+    a = 0
+    for h, k in enumerate(bk):
+        b = a + k
+        below = ids[a - 1] if a else -1
+        above = ids[b] if b < len(ids) else -1
+        assert state.bf[h] == state.knots[a]
+        assert state.P[ids[b - 1]] == (bw[h], bs[h], below)
+        assert state.S[ids[a]] == (bw[h], bs[h], above)
+        nodes = _fresh_stack_nodes(w[a:b], s[a:b], True)
+        for i in [*range(state.pw[h]), *_chain(nodes, state.pt[h] - 1)]:
+            cw, cs, r = nodes[i]
+            assert state.P[ids[a + i]] == (cw, cs, ids[a + r] if r >= 0 else below)
+        nodes = _fresh_stack_nodes(w[a:b][::-1], s[a:b][::-1], False)
+        for i in [*range(state.sw[h]), *_chain(nodes, state.st[h] - 1)]:
+            cw, cs, r = nodes[i]
+            assert state.S[ids[b - 1 - i]] == (cw, cs, ids[b - 1 - r] if r >= 0 else above)
+        a = b
+
+
+def _prefix_state_cases(state, p, y):
+    """One step of state at (p, y), and the cases it met: the holding block
+    found as the step finds it, its valid P nodes below p or S nodes above
+    p read again ('reused prefix', 'reused suffix'), a step that goes on
+    from the last step's top past the watermark ('reused top'), a stretch of
+    more than _WIDE knots to pool ('wide'), a piece of the holding block
+    kept left or right of p's new block ('kept left piece', 'kept right
+    piece'), a 'tie', p's new block reaching past the holding block on a
+    side whose watermark was positive ('neighbour merge resets a
+    watermark'), and a new knot that becomes the last before the next block
+    ('new last knot before a block')."""
+    knots, cases = state.knots, set()
+    if state.bf:
+        h = max(bisect.bisect_right(state.bf, p) - 1, 0)
+        a = bisect.bisect_left(knots, state.bf[h])
+        b = a + state.bk[h]
+        pw, sw, pt, st = state.pw[h], state.sw[h], state.pt[h], state.st[h]
+    else:
+        a = b = pw = sw = pt = st = 0
+    j = bisect.bisect_left(knots, p, a, b)
+    tie = j < b and knots[j] == p
+    r = j + tie
+    if tie:
+        cases.add("tie")
+    if a < j < b and pw:
+        cases.add("reused prefix")
+    if a < r < b and sw:
+        cases.add("reused suffix")
+    if a + pw < j < b and pw < pt <= j - a or a < r < b - sw and sw < st <= b - r:
+        cases.add("reused top")
+    # the first knot from which P, and the last down to which S, must pool
+    i = a + (pt if pw < pt <= j - a else pw)
+    k = b - (st if sw < st <= b - r else sw)
+    if i < j < b and j - i > _WIDE or a < r < k and k - r > _WIDE:
+        cases.add("wide")
+    state.step(p, y)
+    b += not tie
+    h = bisect.bisect_right(state.bf, p) - 1
+    first = bisect.bisect_left(knots, state.bf[h])
+    end = first + state.bk[h]
+    if first > a:
+        cases.add("kept left piece")
+    if end < b:
+        cases.add("kept right piece")
+    if first < a and pw or end > b and sw:
+        cases.add("neighbour merge resets a watermark")
+    if not tie and knots[end - 1] == p and end == b and end < len(knots):
+        cases.add("new last knot before a block")
+    return cases
+
+
+def _prefix_state_inputs():
+    """(p, y) pairs for the state test: the bit-identity corpus up to 300
+    rows, two-decimal data, one-block data (outcomes falling with p) and a
+    rising staircase of tied levels, presented in random order."""
+    for p, y in _sequential_corpus():
+        if p.size <= 300:
+            yield p, y
+    rng = np.random.default_rng(43)
+    p = np.clip(np.round(rng.uniform(0.02, 0.98, 300), 2), 0.01, 0.99)
+    yield p, (rng.random(p.size) < p).astype(int)
+    p = rng.uniform(0.02, 0.98, 300)
+    yield p, (rng.random(p.size) < 1.0 - p).astype(int)
+    levels = np.repeat(np.linspace(0.05, 0.95, 19), 12)
+    ones = np.concatenate([np.arange(12) < k * 12 // 19 for k in range(19)]).astype(int)
+    order = rng.permutation(levels.size)
+    yield levels[order], ones[order]
+
+
+class TestPrefixState:
+    def test_blocks_and_valid_nodes_match_fresh_pooling_after_every_step(self):
+        cases = set()
+        for p, y in _prefix_state_inputs():
+            state = _PrefixBlocks()
+            knots, w, s = [], [], []
+            for pi, yi in zip(p.tolist(), y.tolist()):
+                cases |= _prefix_state_cases(state, pi, yi)
+                j = bisect.bisect_left(knots, pi)
+                if j < len(knots) and knots[j] == pi:
+                    w[j] += 1
+                    s[j] += yi
+                else:
+                    knots.insert(j, pi)
+                    w.insert(j, 1)
+                    s.insert(j, yi)
+                assert state.knots == knots
+                _check_prefix_state(state, w, s)
+        assert cases == {
+            "reused prefix", "reused suffix", "reused top", "wide",
+            "kept left piece", "kept right piece", "tie",
+            "neighbour merge resets a watermark", "new last knot before a block",
+        }
 
 
 class TestExact:
