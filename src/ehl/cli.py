@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from ._version import __version__
-from .data import dump_samples, load_samples, samples_to_csv
+from .data import dump_samples, load_samples
 from .errors import EhlError
 from .evalue import EXACT_N_LIMIT, exact_symmetrized_evalue, sequential_evalue, split_evalue
 from .hl import METHODS, hl_sweep, hl_test
@@ -57,6 +57,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _grid_size(text: str) -> int:
+    # a curve grid holds both ends of [0, 1]
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
     return value
 
 
@@ -148,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--bags", type=_nonneg_int, default=100,
                    help="bootstrap bags; 0 fits a single curve (default 100)")
     r.add_argument("--seed", type=_nonneg_int, default=0)
-    r.add_argument("--grid-points", type=_positive_int, default=1001)
+    r.add_argument("--grid-points", type=_grid_size, default=1001)
     r.add_argument("--threads", type=_positive_int, default=1)
     r.add_argument("--curve-output", help="write the curve grid CSV (p,mean,q_low,q_high) here")
     r.add_argument("--output", help="write the recalibrated eval CSV here instead of stdout")
@@ -184,6 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _config(args: argparse.Namespace) -> dict:
+    """The parsed options that a JSON result echoes: every one but the
+    subcommand and those that only say where and how the result is written."""
+    skip = ("command", "output", "format", "mode")
+    return {name: value for name, value in vars(args).items() if name not in skip}
+
+
 def _cmd_ehl_test(args: argparse.Namespace) -> int:
     samples = load_samples(args.input)
     if args.variant == "split":
@@ -202,16 +217,7 @@ def _cmd_ehl_test(args: argparse.Namespace) -> int:
     payload = {
         "version": __version__,
         "command": "ehl-test",
-        "config": {
-            "input": args.input,
-            "variant": args.variant,
-            "split_fraction": args.split_fraction,
-            "splits": args.splits,
-            "seed": args.seed,
-            "threshold": args.threshold,
-            "n_max": args.n_max,
-            "threads": args.threads,
-        },
+        "config": _config(args),
         "report": report.to_json_dict(),
     }
     _write(_json_text(payload), args.output)
@@ -224,13 +230,7 @@ def _cmd_hl_test(args: argparse.Namespace) -> int:
     payload = {
         "version": __version__,
         "command": "hl-test",
-        "config": {
-            "input": args.input,
-            "binning": args.binning,
-            "bins": args.bins,
-            "dof": args.dof,
-            "alpha": args.alpha,
-        },
+        "config": _config(args),
         "report": report.to_json_dict(),
         "reject_at_alpha": bool(report.p_value <= args.alpha),
     }
@@ -248,7 +248,7 @@ def _cmd_hl_sweep(args: argparse.Namespace) -> int:
         payload = {
             "version": __version__,
             "command": "hl-sweep",
-            "config": {"input": args.input, "dof": args.dof},
+            "config": _config(args),
             "sweep": sweep.to_json_dict(),
         }
         _write(_json_text(payload), args.output)
@@ -269,10 +269,7 @@ def _cmd_recalibrate(args: argparse.Namespace) -> int:
             threads=args.threads,
         )
     mapped = evaluation.with_p(curve.apply(evaluation.p))
-    if args.output is None:
-        sys.stdout.write(samples_to_csv(mapped))
-    else:
-        dump_samples(mapped, args.output)
+    dump_samples(mapped, sys.stdout if args.output is None else args.output)
     if args.curve_output is not None:
         _write(curve.to_csv(), args.curve_output)
     return 0

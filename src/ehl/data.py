@@ -12,7 +12,6 @@ row-numbered errors (see load_samples).
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,10 +34,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Probability forecasts p in [0, 1] with outcomes y in {0, 1}."""
+    """Probability forecasts p in [0, 1] with outcomes y in {0, 1}, and
+    optional covariates x and true conditional probabilities pi_bar
+    (available in simulations, absent in applications)."""
 
     p: np.ndarray
     y: np.ndarray
+    x: np.ndarray | None = None
+    pi_bar: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         p = np.array(self.p, dtype=float, copy=True).reshape(-1)
@@ -53,6 +56,16 @@ class SampleSet:
             raise InputError("outcomes must be 0 or 1")
         object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "y", _freeze(y))
+        for name in ("x", "pi_bar"):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            arr = np.array(val, dtype=float, copy=True).reshape(-1)
+            if arr.size != p.size:
+                raise InputError(f"{name} length {arr.size} does not match sample size {p.size}")
+            if name == "pi_bar" and not np.all((arr >= 0.0) & (arr <= 1.0)):
+                raise InputError("pi_bar must lie in [0, 1]")
+            object.__setattr__(self, name, _freeze(arr))
 
     def __len__(self) -> int:
         return int(self.p.size)
@@ -62,44 +75,20 @@ class SampleSet:
         return bool(np.any((self.p == 0.0) | (self.p == 1.0)))
 
     def take(self, indices: np.ndarray) -> "SampleSet":
-        return SampleSet(self.p[indices], self.y[indices])
-
-    def with_p(self, p: np.ndarray) -> "SampleSet":
-        return SampleSet(p, self.y)
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledSampleSet(SampleSet):
-    """SampleSet extended with optional covariates x and true conditional
-    probabilities pi_bar (available in simulations, absent in applications)."""
-
-    x: np.ndarray | None = None
-    pi_bar: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        n = self.p.size
-        for name in ("x", "pi_bar"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            arr = np.array(val, dtype=float, copy=True).reshape(-1)
-            if arr.size != n:
-                raise InputError(f"{name} length {arr.size} does not match sample size {n}")
-            if name == "pi_bar" and not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise InputError("pi_bar must lie in [0, 1]")
-            object.__setattr__(self, name, _freeze(arr))
-
-    def take(self, indices: np.ndarray) -> "LabeledSampleSet":
-        return LabeledSampleSet(
+        return SampleSet(
             self.p[indices],
             self.y[indices],
             None if self.x is None else self.x[indices],
             None if self.pi_bar is None else self.pi_bar[indices],
         )
 
-    def with_p(self, p: np.ndarray) -> "LabeledSampleSet":
-        return LabeledSampleSet(p, self.y, self.x, self.pi_bar)
+    def with_p(self, p: np.ndarray) -> "SampleSet":
+        return SampleSet(p, self.y, self.x, self.pi_bar)
+
+
+# another name for SampleSet, kept because it is exported and callers
+# construct it
+LabeledSampleSet = SampleSet
 
 
 def _parse_float(text: str, column: str, row: int) -> float:
@@ -110,7 +99,7 @@ def _parse_float(text: str, column: str, row: int) -> float:
     return value
 
 
-def load_samples(source: str | Path | IO[str]) -> LabeledSampleSet:
+def load_samples(source: str | Path | IO[str]) -> SampleSet:
     """Read a forecast sample from CSV.
 
     Requires columns ``p`` and ``y``; columns ``x`` and ``pi_bar`` are picked
@@ -136,7 +125,7 @@ def load_samples(source: str | Path | IO[str]) -> LabeledSampleSet:
     return _load(source)
 
 
-def _load(fh: IO[str]) -> LabeledSampleSet:
+def _load(fh: IO[str]) -> SampleSet:
     seekable = getattr(fh, "seekable", None)
     if seekable is not None and seekable():
         start = fh.tell()
@@ -147,7 +136,7 @@ def _load(fh: IO[str]) -> LabeledSampleSet:
     return _load_rows(fh)
 
 
-def _load_numeric(fh: IO[str]) -> LabeledSampleSet | None:
+def _load_numeric(fh: IO[str]) -> SampleSet | None:
     """The sample, when every row is plain numbers that pass the row rules;
     None otherwise, with fh left anywhere."""
     line = fh.readline().removeprefix("\ufeff")
@@ -179,10 +168,10 @@ def _load_numeric(fh: IO[str]) -> LabeledSampleSet | None:
         return None
     if pi_bar is not None and not np.all((pi_bar >= 0.0) & (pi_bar <= 1.0)):
         return None
-    return LabeledSampleSet(p, y.astype(np.int64), cols.get("x"), pi_bar)
+    return SampleSet(p, y.astype(np.int64), cols.get("x"), pi_bar)
 
 
-def _load_rows(fh: IO[str]) -> LabeledSampleSet:
+def _load_rows(fh: IO[str]) -> SampleSet:
     reader = csv.DictReader(fh)
     header = reader.fieldnames
     if header is None:
@@ -220,7 +209,7 @@ def _load_rows(fh: IO[str]) -> LabeledSampleSet:
         ys.append(int(y_val))
     if not ps:
         raise InputError("empty input: no data rows")
-    return LabeledSampleSet(
+    return SampleSet(
         np.array(ps),
         np.array(ys),
         np.array(extras["x"]) if "x" in extras else None,
@@ -245,7 +234,7 @@ def _dump(samples: SampleSet, fh: IO[str]) -> None:
     names = ["p", "y"]
     columns = [(repr, samples.p), (str, samples.y)]
     for name in ("x", "pi_bar"):
-        values = getattr(samples, name, None)
+        values = getattr(samples, name)
         if values is not None:
             names.append(name)
             columns.append((repr, values))
@@ -255,12 +244,6 @@ def _dump(samples: SampleSet, fh: IO[str]) -> None:
     for lo in range(0, len(samples), _DUMP_ROWS):
         cells = [map(form, col[lo:lo + _DUMP_ROWS].tolist()) for form, col in columns]
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def samples_to_csv(samples: SampleSet) -> str:
-    buf = io.StringIO()
-    _dump(samples, buf)
-    return buf.getvalue()
 
 
 def _train_size(n: int, fraction: float) -> int:

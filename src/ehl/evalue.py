@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -166,21 +166,14 @@ class EValueReport:
         )
 
     def to_json_dict(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "e_value": self.e_value,
-            "log_e": self.log_e,
-            "implied_p": self.implied_p,
-            "reject_at_20": self.reject_at_20,
-            "threshold": self.threshold,
-            "s": self.s,
-            "B": self.B,
-            "seed": list(self.seed) if isinstance(self.seed, tuple) else self.seed,
-        }
-        if self.per_split_log_e is not None:
-            out["per_split_log_e"] = list(self.per_split_log_e)
-        if self.path is not None:
-            out["path"] = list(self.path)
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a diagnostic that the variant does not make is left out, not null
+            if value is None and f.name in ("per_split_log_e", "path"):
+                continue
+            # JSON has no tuples; the lists compare equal to a parsed result
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 

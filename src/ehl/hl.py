@@ -39,7 +39,7 @@ when its observed count is also 0 and +inf otherwise (with a warning).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -94,19 +94,10 @@ class HLReport:
     table: tuple[tuple[float, ...], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "g_requested": self.g_requested,
-            "g_realized": self.g_realized,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "estimated_in_sample": self.estimated_in_sample,
-            "table": [
-                {"count": r[0], "o1": r[1], "e1": r[2], "o0": r[3], "e0": r[4]}
-                for r in self.table
-            ],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        # rows carry their column names, so a reader needs no column order
+        out["table"] = [dict(zip(("count", "o1", "e1", "o0", "e0"), r)) for r in self.table]
+        return out
 
 
 def _check_g(g: int) -> None:

@@ -87,13 +87,17 @@ class RecalCurve:
         return "\n".join(lines) + "\n"
 
 
+def _check_grid_size(grid_size: int) -> None:
+    # checked before any fit, which at scale takes far longer
+    if grid_size < 2:
+        raise InputError(f"grid size must be at least 2, got {grid_size}")
+
+
 def _curve_from_fits(
     fits: tuple[SmoothedFit, ...],
     band: tuple[float, float],
     grid_size: int,
 ) -> RecalCurve:
-    if grid_size < 2:
-        raise InputError(f"grid size must be at least 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
     values = np.empty((len(fits), grid_size))
     for i, fit in enumerate(fits):
@@ -110,6 +114,7 @@ def _curve_from_fits(
 
 def isotonic_recalibrate(recal: SampleSet, grid_size: int = DEFAULT_GRID_SIZE) -> RecalCurve:
     """Single smoothed isotonic fit on the recalibration sample."""
+    _check_grid_size(grid_size)
     fit = _block_ends_fit(*_merged(recal)[2:])
     return _curve_from_fits((fit,), DEFAULT_BAND, grid_size)
 
@@ -130,6 +135,7 @@ def bagged_recalibrate(
     count. The band is the pointwise (band[0], band[1]) quantile across bags
     on the export grid.
     """
+    _check_grid_size(grid_size)
     if n_bags < 1:
         raise InputError(f"n_bags must be positive, got {n_bags}")
     if not 0.0 <= band[0] < band[1] <= 1.0:

@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .data import LabeledSampleSet
+from .data import SampleSet
 from .errors import FitError, InputError
 from .evalue import _log_eq_terms, _require_interior, _split_log_e
 from .hl import hl_test
@@ -78,7 +78,7 @@ def solve_quadratic_betas(j: float) -> QuadraticModel:
     return QuadraticModel(float(j), float(b[0]), float(b[1]), float(b[2]))
 
 
-def generate_data(n: int, model: QuadraticModel, rng: np.random.Generator) -> LabeledSampleSet:
+def generate_data(n: int, model: QuadraticModel, rng: np.random.Generator) -> SampleSet:
     """Draw n observations from the model.
 
     The forecast column is initialized to pi_bar so the sample is valid on
@@ -89,10 +89,10 @@ def generate_data(n: int, model: QuadraticModel, rng: np.random.Generator) -> La
     x = rng.uniform(-3.0, 3.0, size=n)
     pi = model.pi_bar(x)
     y = (rng.random(n) < pi).astype(np.int64)
-    return LabeledSampleSet(pi, y, x, pi)
+    return SampleSet(pi, y, x, pi)
 
 
-def fit_logistic_linear(samples: LabeledSampleSet, max_iter: int = 100, tol: float = 1e-8) -> tuple[float, float]:
+def fit_logistic_linear(samples: SampleSet, max_iter: int = 100, tol: float = 1e-8) -> tuple[float, float]:
     """Maximum-likelihood intercept and slope of a linear-logistic model.
 
     Newton iteration from (0, 0) until the gradient's max-norm drops below
@@ -163,20 +163,14 @@ class SimulationConfig:
                 raise InputError(f"split fraction {s} outside (0, 1)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "j_values": list(self.j_values),
-            "n_values": list(self.n_values),
-            "s_values": list(self.s_values),
-            "variants": list(self.variants),
-            "reps": self.reps,
-            "B": self.B,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "alpha": self.alpha,
-            "hl_bins": self.hl_bins,
-            "hl_method": self.hl_method,
-            "estimated_in_sample": self.estimated_in_sample,
-        }
+        out = {}
+        for f in fields(self):
+            # threads is not echoed: no output depends on it
+            if f.name != "threads":
+                value = getattr(self, f.name)
+                # JSON has no tuples; the lists compare equal to a parsed result
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,18 +189,7 @@ class PowerCell:
     se_log_e: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "n": self.n,
-            "variant": self.variant,
-            "s": self.s,
-            "rep_count": self.rep_count,
-            "failures": self.failures,
-            "rejections": self.rejections,
-            "reject_rate": self.reject_rate,
-            "mean_log_e": self.mean_log_e,
-            "se_log_e": self.se_log_e,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -255,9 +238,10 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
     thread count. Replications whose logistic fit fails are counted and
     excluded from the cell's rates.
     """
+    # an infeasible j fails here, before any cell has run
+    models = [solve_quadratic_betas(j) for j in config.j_values]
     cells: list[PowerCell] = []
-    for ji, j in enumerate(config.j_values):
-        model = solve_quadratic_betas(j)
+    for ji, model in enumerate(models):
         for ni, n in enumerate(config.n_values):
             rep_results = _replicates(
                 (config.seed, 0, ji, ni),
@@ -273,10 +257,10 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
             failures = sum(1 for res in rep_results if res is None)
             for variant in config.variants:
                 if variant == "hl":
-                    cells.append(_aggregate(rep_results, j, n, variant, None, failures))
+                    cells.append(_aggregate(rep_results, model.j, n, variant, None, failures))
                 else:
                     for s in config.s_values:
-                        cells.append(_aggregate(rep_results, j, n, variant, s, failures))
+                        cells.append(_aggregate(rep_results, model.j, n, variant, s, failures))
     return PowerStudyReport(config, tuple(cells))
 
 

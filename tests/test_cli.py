@@ -456,6 +456,35 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert "argument --n" in err and f"got {named}" in err
 
+    def test_grid_points_below_2_exit_2_before_any_csv_is_read(self, monkeypatch, capsys):
+        def refuse(source):
+            raise AssertionError("a CSV was read")
+
+        monkeypatch.setattr(ehl.cli, "load_samples", refuse)
+        for value in ("1", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["recalibrate", "--recal", "r.csv", "--eval", "e.csv", "--grid-points", value])
+            assert exc.value.code == 2
+            assert "argument --grid-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["ehl-test", "--splits", "5", "--output", "{out}"],
+         {"input", "variant", "split_fraction", "splits", "seed", "threshold", "n_max", "threads"}),
+        (["hl-test", "--output", "{out}"], {"input", "binning", "bins", "dof", "alpha"}),
+        (["hl-sweep", "--format", "json", "--mode", "display", "--output", "{out}"],
+         {"input", "dof"}),
+    ])
+    def test_config_echoes_every_option_but_where_and_how_output_goes(
+        self, argv, keys, forecast_csv, tmp_path
+    ):
+        out = str(tmp_path / "out.json")
+        argv = [argv[0], "--input", forecast_csv] + [out if a == "{out}" else a for a in argv[1:]]
+        assert main(argv) == 0
+        with open(out) as fh:
+            config = json.load(fh)["config"]
+        assert set(config) == keys
+        assert config["input"] == forecast_csv
+
 
 def _run_all(calls, outdir, capsys):
     """Run main on each argv in turn, with {out} in an argv standing for

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import ehl.recalibrate
 from ehl import (
     InputError,
     RecalCurve,
@@ -232,6 +233,19 @@ def _curve(ss, n_bags, seed):
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_grid_size_below_2_is_refused_before_any_fit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a curve was fitted")
+
+    monkeypatch.setattr(ehl.recalibrate, "_block_ends_fit", refuse)
+    recal = _calibrated(200, seed=4)
+    for grid_size in (1, 0):
+        with pytest.raises(InputError, match="grid size"):
+            isotonic_recalibrate(recal, grid_size=grid_size)
+        with pytest.raises(InputError, match="grid size"):
+            bagged_recalibrate(recal, 40, 1, grid_size=grid_size)
 
 
 class TestAgainstBagLoop:

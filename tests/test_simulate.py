@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import ehl.simulate
 from ehl import (
     FitError,
     InputError,
@@ -198,7 +199,9 @@ class TestConfig:
         assert d["j_values"] == [0.0, 0.1]
         assert d["n_values"] == [64, 128]
         assert d["seed"] == 9
-        json.dumps(d)
+        # threads is not echoed, and the dict holds lists, not tuples
+        assert "threads" not in d
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestPowerStudy:
@@ -249,6 +252,14 @@ class TestPowerStudy:
         d = run_power_study(self._config(seed=12))
         assert d.to_csv() != a.to_csv()
 
+    def test_infeasible_j_fails_before_any_replication(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(ehl.simulate, "_one_rep", refuse)
+        with pytest.raises(InputError, match="infeasible"):
+            run_power_study(self._config(j_values=(0.0, 0.1, 5.0)))
+
     def test_variants_do_not_change_each_other(self):
         # one draw of each split serves the feasible and the oracle e-value;
         # a study of either alone gives the same cells bit for bit
@@ -284,6 +295,7 @@ class TestPowerStudy:
         d = report.to_json_dict()
         text = json.dumps(d, sort_keys=True)
         back = json.loads(text)
+        assert back == d
         assert back["config"]["reps"] == 8
         assert len(back["cells"]) == 3
         assert {c["variant"] for c in back["cells"]} == {"ehl", "hl", "oracle"}
