@@ -25,7 +25,7 @@ from ._version import __version__
 from .data import dump_samples, load_samples
 from .errors import EhlError
 from .evalue import EXACT_N_LIMIT, exact_symmetrized_evalue, sequential_evalue, split_evalue
-from .hl import METHODS, hl_sweep, hl_test
+from .hl import MAX_BINS, METHODS, hl_sweep, hl_test
 from .recalibrate import bagged_recalibrate, isotonic_recalibrate
 from .simulate import SimulationConfig, run_power_study
 
@@ -57,6 +57,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _bin_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_BINS:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_BINS}, got {text!r}")
     return value
 
 
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hl-test", help="binned chi-square calibration test")
     h.add_argument("--input", required=True)
-    h.add_argument("--bins", type=_positive_int, default=10, metavar="G")
+    h.add_argument("--bins", type=_bin_count, default=10, metavar="G")
     h.add_argument("--binning", choices=METHODS, default="QR")
     h.add_argument("--dof", choices=("g", "g-2"), default="g",
                    help="degrees of freedom: g for out-of-sample forecasts, g-2 in-sample")
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=_nonneg_int, default=0)
     m.add_argument("--threshold", type=_positive_float, default=20.0)
     m.add_argument("--alpha", type=_fraction, default=0.05)
-    m.add_argument("--bins", type=_positive_int, default=10)
+    m.add_argument("--bins", type=_bin_count, default=10)
     m.add_argument("--binning", choices=METHODS, default="QR")
     m.add_argument("--dof", choices=("g", "g-2"), default="g")
     m.add_argument("--threads", type=_positive_int, default=1)

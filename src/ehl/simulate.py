@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .data import SampleSet
+from .data import SampleSet, _train_size
 from .errors import FitError, InputError
 from .evalue import _log_eq_terms, _require_interior, _split_log_e
 from .hl import hl_test
@@ -238,8 +238,17 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
     thread count. Replications whose logistic fit fails are counted and
     excluded from the cell's rates.
     """
-    # an infeasible j fails here, before any cell has run
+    # an infeasible j fails here, before any cell has run, and so do a split
+    # and an equal-count bin count that no sample of the size can meet
     models = [solve_quadratic_betas(j) for j in config.j_values]
+    if {"ehl", "oracle"} & set(config.variants):
+        for n in config.n_values:
+            for s in config.s_values:
+                _train_size(n, s)
+    if "hl" in config.variants and config.hl_method in ("Qplus", "Qminus"):
+        n_min = min(config.n_values)
+        if config.hl_bins > n_min:
+            raise InputError(f"bin count {config.hl_bins} exceeds sample size {n_min}")
     cells: list[PowerCell] = []
     for ji, model in enumerate(models):
         for ni, n in enumerate(config.n_values):

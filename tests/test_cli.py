@@ -20,6 +20,7 @@ from ehl.cli import (
 )
 from ehl._version import __version__
 from ehl.evalue import EXACT_N_LIMIT
+from ehl.hl import MAX_BINS
 
 
 def _write_csv(path, p, y):
@@ -466,6 +467,21 @@ class TestEntryPoints:
                 main(["recalibrate", "--recal", "r.csv", "--eval", "e.csv", "--grid-points", value])
             assert exc.value.code == 2
             assert "argument --grid-points" in capsys.readouterr().err
+
+    def test_bins_above_the_cap_exit_2_before_any_input_is_read(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a CSV was read or a replication ran")
+
+        monkeypatch.setattr(ehl.cli, "load_samples", refuse)
+        monkeypatch.setattr(ehl.cli, "run_power_study", refuse)
+        for value in (str(MAX_BINS + 1), "3000000000"):
+            for argv in (["hl-test", "--input", "f.csv", "--binning", "E", "--bins", value],
+                         ["hl-test", "--input", "f.csv", "--binning", "QR", "--bins", value],
+                         ["simulate", "--bins", value]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert "argument --bins" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, keys", [
         (["ehl-test", "--splits", "5", "--output", "{out}"],

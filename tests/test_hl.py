@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import ehl.hl
+
 from ehl import (
     METHODS,
     SWEEP_G_VALUES,
@@ -16,6 +18,7 @@ from ehl import (
     hl_test,
     make_binning,
 )
+from ehl.hl import MAX_BINS, _quantile_cuts
 from ehl.numeric import chisq_sf
 
 from helpers import hl_bins_reference, hl_table_reference, type7_quantile
@@ -206,6 +209,30 @@ class TestDispatch:
         assert make_binning(ss, "QR", 3).g_realized <= 3
         assert make_binning(ss, "E", 5).g_realized == 2
 
+    def test_bin_count_above_the_cap_is_refused(self):
+        # the check comes before any O(g) allocation, so no cell allocates
+        # above the cap
+        ss = _ss([0.2, 0.8], [0, 1])
+        for m in METHODS:
+            with pytest.raises(InputError, match=f"from 1 to {MAX_BINS}"):
+                hl_test(ss, m, MAX_BINS + 1)
+            with pytest.raises(InputError, match=f"from 1 to {MAX_BINS}"):
+                make_binning(ss, m, MAX_BINS + 1)
+        result = hl_sweep(ss, g_values=(MAX_BINS + 1,))
+        assert not result.reports
+        assert all(f"from 1 to {MAX_BINS}" in msg for msg in result.failures.values())
+        assert len(result.failures) == len(METHODS)
+
+    def test_time_bound_at_the_cap(self):
+        # E, QL and QR build O(g) edges; 0.05-0.2 s each at 10^6 bins
+        rng = np.random.default_rng(13)
+        p = rng.random(1000)
+        ss = _ss(p, (rng.random(p.size) < p).astype(int))
+        t0 = time.perf_counter()
+        for m in ("E", "QL", "QR"):
+            assert hl_test(ss, m, MAX_BINS).g_realized <= 1000
+        assert time.perf_counter() - t0 < 10.0
+
 
 class TestStatistic:
     def test_perfectly_calibrated_bin(self):
@@ -373,7 +400,11 @@ class TestSweep:
 
     def test_cells_match_single_tests(self):
         ss = self._data(n=150, seed=22)
-        result = hl_sweep(ss, g_values=(5, 9), methods=("QR", "E"))
+        # a repeated g or method runs once, where it first appears
+        result = hl_sweep(ss, g_values=(5, np.int64(9), 5), methods=("QR", "E", "QR"))
+        assert result.g_values == (5, 9) and result.methods == ("QR", "E")
+        assert result.n_cells == len(result.reports) == 4
+        assert [ln.split(",")[0] for ln in result.to_csv().splitlines()] == ["g", "5", "9"]
         for (m, g), rep in result.reports.items():
             single = hl_test(ss, m, g)
             assert rep.statistic == single.statistic
@@ -444,6 +475,18 @@ class TestSweep:
     def test_unknown_method_rejected(self):
         with pytest.raises(InputError):
             hl_sweep(self._data(n=50, seed=27), methods=("QR", "bogus"))
+
+    def test_non_integer_g_rejected_before_any_cell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(ehl.hl, "_report", refuse)
+        ss = self._data(n=50, seed=28)
+        for g_values in ((5.7,), (5, 6.0), (5, "7")):
+            with pytest.raises(InputError, match="must be integers"):
+                hl_sweep(ss, g_values=g_values)
+        with pytest.raises(InputError, match="unknown binning method"):
+            hl_sweep(ss, methods=("QR", "bogus"))
 
 
 def _reference_corpus(seed=31, cases=120):
@@ -516,8 +559,8 @@ class TestAgainstPerCellReference:
         assert cells > 3000
 
     def test_sweep_cells_equal_single_tests(self):
-        # the sweep takes every quantile cut from one np.quantile call; the
-        # single test asks for its g alone, and the two must agree exactly
+        # every sweep cell, a failed one included, is the single test of its
+        # (method, g) on the same sample, exactly; g runs past n and from 0
         for p, y in _reference_corpus(seed=32, cases=30):
             ss = _ss(p, y)
             for in_sample in (False, True):
@@ -531,6 +574,29 @@ class TestAgainstPerCellReference:
                             hl_test(ss, m, g, in_sample)
                         assert str(exc.value) == msg
                 assert len(result.reports) + len(result.failures) == 5 * 22
+
+    def test_quantile_cuts_have_the_bits_of_np_quantile(self):
+        samples = [np.sort(p) for p, _ in _reference_corpus()]
+        samples += [np.array(v) for v in ([0.0], [0.3], [1.0], [0.2, 0.7], [0.5, 0.5], [0.0, 1.0])]
+        for ps in samples:
+            for g in (*range(1, 22), 300):
+                want = np.quantile(ps, np.arange(1, g) / g)
+                got = _quantile_cuts(ps, g)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_quantile_binnings_do_not_call_np_quantile(self, monkeypatch):
+        p, y = next(_reference_corpus(seed=34, cases=1))
+        ss = _ss(p, y)
+        want = [hl_test(ss, m, g) for m in ("QL", "QR") for g in (3, 10)]
+        want_sweep = hl_sweep(ss).to_json_dict()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.quantile was called")
+
+        monkeypatch.setattr(np, "quantile", refuse)
+        assert [hl_test(ss, m, g) for m in ("QL", "QR") for g in (3, 10)] == want
+        assert hl_sweep(ss).to_json_dict() == want_sweep
 
     def test_sweep_time_bound_on_a_million_rows(self):
         rng = np.random.default_rng(33)

@@ -257,8 +257,20 @@ class TestPowerStudy:
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(ehl.simulate, "_one_rep", refuse)
-        with pytest.raises(InputError, match="infeasible"):
-            run_power_study(self._config(j_values=(0.0, 0.1, 5.0)))
+        for overrides, match in (
+            (dict(j_values=(0.0, 0.1, 5.0)), "infeasible"),
+            # a split that leaves an empty part at the last n
+            (dict(n_values=(64, 1), variants=("ehl", "hl")), "empty part"),
+            (dict(n_values=(64, 1), variants=("oracle",)), "empty part"),
+            # equal-count bins need at least as many rows as bins
+            (dict(n_values=(64, 8), variants=("hl",), hl_method="Qplus", hl_bins=10), "exceeds"),
+            (dict(n_values=(64, 8), variants=("hl",), hl_method="Qminus", hl_bins=10), "exceeds"),
+        ):
+            with pytest.raises(InputError, match=match):
+                run_power_study(self._config(**overrides))
+        # the quantile binnings just realize fewer bins, so they get to run
+        with pytest.raises(AssertionError, match="a replication ran"):
+            run_power_study(self._config(n_values=(8,), variants=("hl",), hl_bins=10))
 
     def test_variants_do_not_change_each_other(self):
         # one draw of each split serves the feasible and the oracle e-value;
