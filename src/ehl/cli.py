@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._version import __version__
 from .data import dump_samples, load_samples
-from .errors import EhlError
+from .errors import ArgumentError, EhlError, check_fraction, check_int, check_positive
 from .evalue import EXACT_N_LIMIT, exact_symmetrized_evalue, sequential_evalue, split_evalue
 from .hl import MAX_BINS, METHODS, hl_sweep, hl_test
 from .recalibrate import bagged_recalibrate, isotonic_recalibrate
@@ -31,73 +30,39 @@ from .simulate import SimulationConfig, run_power_study
 
 
 def _fraction(text: str) -> float:
-    """Accept plain floats and a/b fractions like 1/2 or 1/3."""
+    """A plain float or an a/b fraction like 1/2 or 1/3."""
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = float(num) / float(den)
-        else:
-            value = float(text)
+        return float(num) / float(den) if slash else float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"fraction {text!r} must lie strictly in (0, 1)")
-    return value
 
 
-def _positive_float(text: str) -> float:
-    # nan and inf would reach the JSON output as the invalid NaN and Infinity
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+def _checked(parse: Callable, check: Callable, *bounds: int) -> Callable:
+    """An argument type: the text parsed, then refused at parse time by the
+    library's own check, which names the rule against the text as given."""
+
+    def convert(text: str) -> object:
+        value = parse(text)
+        try:
+            check("argument", value, *bounds)
+        except ArgumentError as exc:
+            raise argparse.ArgumentTypeError(f"expected {exc.rule}, got {text!r}") from None
+        return value
+
+    # argparse names a type by this when it raises ValueError
+    convert.__name__ = parse.__name__
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _listed(convert: Callable) -> Callable:
+    """The comma-separated list form of an argument type."""
 
+    def convert_list(text: str) -> tuple:
+        return tuple(convert(v) for v in text.split(","))
 
-def _bin_count(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_BINS:
-        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_BINS}, got {text!r}")
-    return value
-
-
-def _grid_size(text: str) -> int:
-    # a curve grid holds both ends of [0, 1]
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from None
-
-
-def _positive_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(_positive_int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
-
-
-def _fraction_list(text: str) -> tuple[float, ...]:
-    return tuple(_fraction(v) for v in text.split(","))
+    convert_list.__name__ = convert.__name__
+    return convert_list
 
 
 def _name_list(text: str) -> tuple[str, ...]:
@@ -127,26 +92,27 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("ehl-test", help="e-value calibration test on a forecast CSV")
     t.add_argument("--input", required=True, help="CSV with columns p,y")
     t.add_argument("--variant", choices=("split", "sequential", "exact"), default="split")
-    t.add_argument("--split-fraction", type=_fraction, default=0.5, metavar="S",
+    t.add_argument("--split-fraction", type=_checked(_fraction, check_fraction),
+                   default=0.5, metavar="S",
                    help="estimation fraction for the split variant (accepts a/b, default 1/2)")
-    t.add_argument("--splits", type=_positive_int, default=10000, metavar="B",
+    t.add_argument("--splits", type=_checked(int, check_int, 1), default=10000, metavar="B",
                    help="number of splits for the split variant (default 10000)")
-    t.add_argument("--seed", type=_nonneg_int, default=0)
-    t.add_argument("--threshold", type=_positive_float, default=20.0,
+    t.add_argument("--seed", type=_checked(int, check_int, 0), default=0)
+    t.add_argument("--threshold", type=_checked(float, check_positive), default=20.0,
                    help="rejection threshold on the e-value (default 20)")
-    t.add_argument("--n-max", type=_positive_int, default=8,
+    t.add_argument("--n-max", type=_checked(int, check_int, 1), default=8,
                    help="sample-size cap for the exact variant (default 8; samples "
                         f"above {EXACT_N_LIMIT} are refused whatever the cap)")
-    t.add_argument("--threads", type=_positive_int, default=1)
+    t.add_argument("--threads", type=_checked(int, check_int, 1), default=1)
     t.add_argument("--output", help="write JSON here instead of stdout")
 
     h = sub.add_parser("hl-test", help="binned chi-square calibration test")
     h.add_argument("--input", required=True)
-    h.add_argument("--bins", type=_bin_count, default=10, metavar="G")
+    h.add_argument("--bins", type=_checked(int, check_int, 1, MAX_BINS), default=10, metavar="G")
     h.add_argument("--binning", choices=METHODS, default="QR")
     h.add_argument("--dof", choices=("g", "g-2"), default="g",
                    help="degrees of freedom: g for out-of-sample forecasts, g-2 in-sample")
-    h.add_argument("--alpha", type=_fraction, default=0.05)
+    h.add_argument("--alpha", type=_checked(_fraction, check_fraction), default=0.05)
     h.add_argument("--output")
 
     w = sub.add_parser("hl-sweep", help="chi-square test across all binnings and g=5..20")
@@ -160,33 +126,34 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("recalibrate", help="isotonic recalibration of forecasts")
     r.add_argument("--recal", required=True, help="CSV used to fit the recalibration map")
     r.add_argument("--eval", required=True, help="CSV whose forecasts are mapped")
-    r.add_argument("--bags", type=_nonneg_int, default=100,
+    r.add_argument("--bags", type=_checked(int, check_int, 0), default=100,
                    help="bootstrap bags; 0 fits a single curve (default 100)")
-    r.add_argument("--seed", type=_nonneg_int, default=0)
-    r.add_argument("--grid-points", type=_grid_size, default=1001)
-    r.add_argument("--threads", type=_positive_int, default=1)
+    r.add_argument("--seed", type=_checked(int, check_int, 0), default=0)
+    r.add_argument("--grid-points", type=_checked(int, check_int, 2), default=1001)
+    r.add_argument("--threads", type=_checked(int, check_int, 1), default=1)
     r.add_argument("--curve-output", help="write the curve grid CSV (p,mean,q_low,q_high) here")
     r.add_argument("--output", help="write the recalibrated eval CSV here instead of stdout")
 
     m = sub.add_parser("simulate", help="Monte Carlo power study")
-    m.add_argument("--j", type=_float_list, default=(0.0,), metavar="J1,J2,...",
+    m.add_argument("--j", type=_listed(float), default=(0.0,), metavar="J1,J2,...",
                    help="miscalibration levels (default 0)")
-    m.add_argument("--n", type=_positive_int_list, default=(1024,), metavar="N1,N2,...")
-    m.add_argument("--s", type=_fraction_list, default=(1.0 / 3.0, 0.5, 2.0 / 3.0),
-                   metavar="S1,S2,...",
+    m.add_argument("--n", type=_listed(_checked(int, check_int, 1)), default=(1024,),
+                   metavar="N1,N2,...")
+    m.add_argument("--s", type=_listed(_checked(_fraction, check_fraction)),
+                   default=(1.0 / 3.0, 0.5, 2.0 / 3.0), metavar="S1,S2,...",
                    help="train fractions for the split e-value (default 1/3,1/2,2/3)")
     m.add_argument("--variants", type=_name_list, default=("ehl", "hl"),
                    help="comma list from ehl,hl,oracle (default ehl,hl)")
-    m.add_argument("--reps", type=_positive_int, default=1000)
-    m.add_argument("--splits", type=_positive_int, default=10, metavar="B",
+    m.add_argument("--reps", type=_checked(int, check_int, 1), default=1000)
+    m.add_argument("--splits", type=_checked(int, check_int, 1), default=10, metavar="B",
                    help="splits per e-value inside the study (default 10)")
-    m.add_argument("--seed", type=_nonneg_int, default=0)
-    m.add_argument("--threshold", type=_positive_float, default=20.0)
-    m.add_argument("--alpha", type=_fraction, default=0.05)
-    m.add_argument("--bins", type=_bin_count, default=10)
+    m.add_argument("--seed", type=_checked(int, check_int, 0), default=0)
+    m.add_argument("--threshold", type=_checked(float, check_positive), default=20.0)
+    m.add_argument("--alpha", type=_checked(_fraction, check_fraction), default=0.05)
+    m.add_argument("--bins", type=_checked(int, check_int, 1, MAX_BINS), default=10)
     m.add_argument("--binning", choices=METHODS, default="QR")
     m.add_argument("--dof", choices=("g", "g-2"), default="g")
-    m.add_argument("--threads", type=_positive_int, default=1)
+    m.add_argument("--threads", type=_checked(int, check_int, 1), default=1)
     m.add_argument("--format", choices=("csv", "json"), default="csv")
     m.add_argument("--output")
 

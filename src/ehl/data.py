@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DegenerateSplitError, InputError
+from .errors import DegenerateSplitError, InputError, check_fraction, check_int
 
 
 # rows that the CSV writer formats at once
@@ -252,10 +252,8 @@ def _train_size(n: int, fraction: float) -> int:
     Raises InputError when n or fraction is out of range, and
     DegenerateSplitError when either part would be empty.
     """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    if not 0.0 < fraction < 1.0:
-        raise InputError(f"split fraction must lie strictly in (0, 1), got {fraction}")
+    check_int("n", n, 1)
+    check_fraction("split fraction", fraction)
     # tolerance absorbs float under-representation of exact integer products
     k = int(math.floor(n * fraction + 1e-9))
     if k < 1 or n - k < 1:

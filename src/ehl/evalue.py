@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .data import SampleSet, _train_size
-from .errors import BoundaryForecastError, ExactSizeError, InputError
+from .errors import BoundaryForecastError, ExactSizeError, InputError, check_int, check_positive
 from .isotonic import (
     _PrefixBlocks,
     _fixed_set_values,
@@ -198,6 +198,7 @@ def sequential_evalue(
     pools in numpy, at the cost of re-pooling it, so one block holding
     every knot still costs O(n) per step and O(n^2) in total.
     """
+    check_positive("threshold", threshold)
     _require_interior(samples)
     p = samples.p
     y = samples.y
@@ -237,10 +238,10 @@ def exact_symmetrized_evalue(
     n is capped at n_max (default 8) and, whatever n_max is, at
     EXACT_N_LIMIT; a larger sample raises ExactSizeError before any work.
     """
+    check_int("n_max", n_max, 1)
+    check_positive("threshold", threshold)
     _require_interior(samples)
     n = len(samples)
-    if n_max < 1:
-        raise InputError(f"n_max must be positive, got {n_max}")
     if n > EXACT_N_LIMIT:
         raise ExactSizeError(
             f"sample size {n} exceeds the exact variant's hard limit of "
@@ -252,18 +253,19 @@ def exact_symmetrized_evalue(
             f"sample size {n} exceeds the exact-enumeration cap {n_max}; "
             "use the split or sequential variant"
         )
-    p = [float(v) for v in samples.p]
-    y = [int(v) for v in samples.y]
     full = (1 << n) - 1
     # the observations in one sorted order, each with its bit in a mask
-    ranked = sorted((p[i], 1 << i, y[i]) for i in range(n))
+    ranked = sorted(zip(samples.p.tolist(), [1 << i for i in range(n)], samples.y.tolist()))
     log_f = [-math.inf] * (full + 1)
     log_f[0] = 0.0
     for mask in range(full):
-        # the set's merged knots, read off that order
+        # the set's merged knots and the distinct forecasts outside it, read
+        # off that order; tied observations outside share one query
         knots: list[float] = []
         w: list[int] = []
         s: list[int] = []
+        queries: list[float] = []
+        rest = []
         for pi, bit, yi in ranked:
             if mask & bit:
                 if knots and knots[-1] == pi:
@@ -273,12 +275,16 @@ def exact_symmetrized_evalue(
                     knots.append(pi)
                     w.append(1)
                     s.append(yi)
-        rest = [j for j in range(n) if not mask >> j & 1]
-        values = _fixed_set_values(knots, w, s, [p[j] for j in rest])
+            else:
+                if not queries or queries[-1] != pi:
+                    queries.append(pi)
+                rest.append((pi, bit, yi, len(queries) - 1))
+        values = _fixed_set_values(knots, w, s, queries)
         base = log_f[mask]
-        for j, (g0, g1) in zip(rest, values):
-            term = base + _log_eq_scalar(p[j], y[j], _oos_value(g0, g1))
-            grown = mask | 1 << j
+        # each observation grows the set into its own entry of log_f
+        for pi, bit, yi, k in rest:
+            term = base + _log_eq_scalar(pi, yi, _oos_value(*values[k]))
+            grown = mask | bit
             log_f[grown] = _logaddexp(log_f[grown], term)
     log_e = log_f[full] - math.log(math.factorial(n))
     return EValueReport.from_log("exact", log_e, threshold=threshold)
@@ -387,13 +393,12 @@ def split_evalue(
     Replicate b draws from a generator seeded by (seed, b), so the result
     is identical for any thread count and any B-wise work distribution.
     """
+    check_int("B", B, 1)
+    check_int("threads", threads, 1)
+    check_positive("threshold", threshold)
+    key = seed_key(seed)
     _require_interior(samples)
     n = len(samples)
-    if B < 1:
-        raise InputError(f"B must be positive, got {B}")
-    if threads < 1:
-        raise InputError(f"threads must be positive, got {threads}")
-    key = seed_key(seed)
     body = _split_log_e(samples, s, fit=True)
     replicates = _replicates(
         key, B, body, threads=threads, n=n, pool=ThreadPoolExecutor

@@ -46,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .data import SampleSet
-from .errors import DegreesOfFreedomError, InputError
+from .errors import DegreesOfFreedomError, InputError, check_choice, check_int
 from .numeric import _stable_order, chisq_sf
 
 METHODS = ("QL", "QR", "Qplus", "Qminus", "E")
@@ -103,11 +103,6 @@ class HLReport:
         return out
 
 
-def _check_g(g: int) -> None:
-    if not isinstance(g, (int, np.integer)) or not 1 <= g <= MAX_BINS:
-        raise InputError(f"bin count must be an integer from 1 to {MAX_BINS}, got {g!r}")
-
-
 class _SortedView(NamedTuple):
     """One sample sorted by forecast, shared by every binning of it.
 
@@ -151,9 +146,8 @@ def _bounds(view: _SortedView, method: str, g: int) -> np.ndarray:
     interval [a, b) at the count of ps < b; the clip of the outermost bins
     to the data is the 0 and n at the ends.
     """
-    if method not in METHODS:
-        raise InputError(f"unknown binning method {method!r}; expected one of {METHODS}")
-    _check_g(g)
+    check_choice("binning method", method, METHODS)
+    check_int("bin count", g, 1, MAX_BINS)
     ps = view.ps
     n = ps.size
     if method in ("Qplus", "Qminus"):
@@ -388,8 +382,7 @@ def hl_sweep(
         raise InputError(f"bin counts must be integers, got {g_all!r}") from None
     m_tuple = tuple(dict.fromkeys(methods))
     for m in m_tuple:
-        if m not in METHODS:
-            raise InputError(f"unknown binning method {m!r}; expected one of {METHODS}")
+        check_choice("binning method", m, METHODS)
     view = _sorted_view(samples)
     reports: dict = {}
     failures: dict = {}

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import InputError
+from .errors import InputError, check_fraction, check_int
 
 _MAX_ITER = 600
 _EPS = 1e-16
@@ -79,8 +79,7 @@ def expit_array(z: np.ndarray) -> np.ndarray:
 
 def logit(p: float) -> float:
     """Inverse logistic log(p / (1 - p)); requires p strictly inside (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise InputError(f"logit requires p in (0, 1), got {p!r}")
+    check_fraction("logit's p", p)
     return math.log(p) - math.log1p(-p)
 
 
@@ -219,8 +218,7 @@ def chisq_sf(x: float, k: int) -> float:
     float
         Upper tail probability in [0, 1].
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InputError(f"degrees of freedom must be a positive integer, got {k!r}")
+    check_int("degrees of freedom", k, 1)
     x = float(x)
     if math.isnan(x) or x < 0.0:
         raise InputError(f"chi-square statistic must be nonnegative, got {x!r}")
@@ -439,13 +437,9 @@ def _replicates(
 
 def seed_key(seed: int | Sequence[int]) -> tuple[int, ...]:
     """Normalize a user-facing seed (int or sequence of ints) to a tuple."""
-    if isinstance(seed, (int, np.integer)):
-        if seed < 0:
-            raise InputError(f"seed must be nonnegative, got {seed}")
-        return (int(seed),)
-    parts = tuple(int(s) for s in seed)
+    if not isinstance(seed, Iterable):
+        return (check_int("seed", seed, 0),)
+    parts = tuple(check_int("seed component", s, 0) for s in seed)
     if not parts:
         raise InputError("seed sequence must be nonempty")
-    if any(s < 0 for s in parts):
-        raise InputError(f"seed components must be nonnegative, got {parts}")
     return parts

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import SampleSet
-from .errors import InputError
+from .errors import InputError, check_int
 from .isotonic import SmoothedFit, _block_ends_fit, _merged
 from .numeric import _replicates, seed_key
 
@@ -87,12 +87,6 @@ class RecalCurve:
         return "\n".join(lines) + "\n"
 
 
-def _check_grid_size(grid_size: int) -> None:
-    # checked before any fit, which at scale takes far longer
-    if grid_size < 2:
-        raise InputError(f"grid size must be at least 2, got {grid_size}")
-
-
 def _curve_from_fits(
     fits: tuple[SmoothedFit, ...],
     band: tuple[float, float],
@@ -114,7 +108,8 @@ def _curve_from_fits(
 
 def isotonic_recalibrate(recal: SampleSet, grid_size: int = DEFAULT_GRID_SIZE) -> RecalCurve:
     """Single smoothed isotonic fit on the recalibration sample."""
-    _check_grid_size(grid_size)
+    # a curve grid holds both ends of [0, 1]
+    check_int("grid size", grid_size, 2)
     fit = _block_ends_fit(*_merged(recal)[2:])
     return _curve_from_fits((fit,), DEFAULT_BAND, grid_size)
 
@@ -135,13 +130,12 @@ def bagged_recalibrate(
     count. The band is the pointwise (band[0], band[1]) quantile across bags
     on the export grid.
     """
-    _check_grid_size(grid_size)
-    if n_bags < 1:
-        raise InputError(f"n_bags must be positive, got {n_bags}")
+    check_int("grid size", grid_size, 2)
+    check_int("n_bags", n_bags, 1)
+    check_int("threads", threads, 1)
+    key = seed_key(seed)
     if not 0.0 <= band[0] < band[1] <= 1.0:
         raise InputError(f"band levels must satisfy 0 <= low < high <= 1, got {band}")
-    if threads < 1:
-        raise InputError(f"threads must be positive, got {threads}")
     n = len(recal)
     order, ys, knots, w, _ = _merged(recal)
     # each knot's first sorted row, to sum a bag's row counts per knot; when
@@ -162,6 +156,6 @@ def bagged_recalibrate(
         return [bag(rng) for rng in rngs]
 
     fits = _replicates(
-        seed_key(seed), n_bags, bags, threads=threads, n=n, pool=ThreadPoolExecutor
+        key, n_bags, bags, threads=threads, n=n, pool=ThreadPoolExecutor
     )
     return _curve_from_fits(tuple(fits), band, grid_size)

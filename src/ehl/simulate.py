@@ -31,9 +31,9 @@ import numpy as np
 
 from ._version import __version__
 from .data import SampleSet, _train_size
-from .errors import FitError, InputError
+from .errors import FitError, InputError, check_choice, check_fraction, check_int, check_positive
 from .evalue import _log_eq_terms, _require_interior, _split_log_e
-from .hl import hl_test
+from .hl import MAX_BINS, METHODS, hl_test
 from .numeric import (
     _replicates,
     exp_clamped,
@@ -84,8 +84,7 @@ def generate_data(n: int, model: QuadraticModel, rng: np.random.Generator) -> Sa
     The forecast column is initialized to pi_bar so the sample is valid on
     its own; study code replaces it with model predictions before testing.
     """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
+    check_int("n", n, 1)
     x = rng.uniform(-3.0, 3.0, size=n)
     pi = model.pi_bar(x)
     y = (rng.random(n) < pi).astype(np.int64)
@@ -152,15 +151,20 @@ class SimulationConfig:
         if not self.j_values or not self.n_values or not self.s_values:
             raise InputError("j_values, n_values, and s_values must be nonempty")
         for v in self.variants:
-            if v not in VARIANTS:
-                raise InputError(f"unknown variant {v!r}; expected subset of {VARIANTS}")
+            check_choice("variant", v, VARIANTS)
         if not self.variants:
             raise InputError("at least one variant is required")
-        if self.reps < 1 or self.B < 1 or self.threads < 1:
-            raise InputError("reps, B, and threads must be positive")
+        for n in self.n_values:
+            check_int("n", n, 1)
         for s in self.s_values:
-            if not 0.0 < s < 1.0:
-                raise InputError(f"split fraction {s} outside (0, 1)")
+            check_fraction("split fraction", s)
+        for name in ("reps", "B", "threads"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        check_positive("threshold", self.threshold)
+        check_fraction("alpha", self.alpha)
+        check_int("bin count", self.hl_bins, 1, MAX_BINS)
+        check_choice("binning method", self.hl_method, METHODS)
 
     def to_json_dict(self) -> dict:
         out = {}

@@ -8,7 +8,20 @@ import pytest
 
 import ehl
 import ehl.cli
-from ehl import load_samples, sequential_evalue
+import ehl.evalue
+import ehl.recalibrate
+from ehl import (
+    InputError,
+    SampleSet,
+    SimulationConfig,
+    bagged_recalibrate,
+    exact_symmetrized_evalue,
+    hl_test,
+    isotonic_recalibrate,
+    load_samples,
+    sequential_evalue,
+    split_evalue,
+)
 from ehl.cli import (
     build_parser,
     main,
@@ -500,6 +513,118 @@ class TestEntryPoints:
             config = json.load(fh)["config"]
         assert set(config) == keys
         assert config["input"] == forecast_csv
+
+
+class _Work(Exception):
+    """Raised by a work function that a check should have kept from running."""
+
+
+def _ratio(text):
+    num, slash, den = text.partition("/")
+    return float(num) / float(den) if slash else float(text)
+
+
+def _ints(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _ratios(text):
+    return tuple(_ratio(v) for v in text.split(","))
+
+
+_FOUR = SampleSet([0.3, 0.6, 0.8, 0.4], [0, 1, 1, 0])
+_ONE = SampleSet([0.3], [1])
+
+
+def _study(field):
+    return lambda value: SimulationConfig(**{"j_values": (0.0,), "n_values": (64,), field: value})
+
+
+# (command and its required options, option, the text's parse, the library
+# call that takes the parsed value); an option with two library entry points
+# has a row for each
+_PARITY = [
+    (["ehl-test", "--input", "f.csv"], "--split-fraction", _ratio,
+     lambda v: split_evalue(_FOUR, s=v)),
+    (["ehl-test", "--input", "f.csv"], "--splits", int, lambda v: split_evalue(_FOUR, B=v)),
+    (["ehl-test", "--input", "f.csv"], "--seed", int, lambda v: split_evalue(_FOUR, seed=v)),
+    (["ehl-test", "--input", "f.csv"], "--threshold", float,
+     lambda v: split_evalue(_FOUR, threshold=v)),
+    (["ehl-test", "--input", "f.csv"], "--threshold", float,
+     lambda v: sequential_evalue(_FOUR, threshold=v)),
+    (["ehl-test", "--input", "f.csv"], "--threshold", float,
+     lambda v: exact_symmetrized_evalue(_ONE, threshold=v)),
+    (["ehl-test", "--input", "f.csv"], "--n-max", int,
+     lambda v: exact_symmetrized_evalue(_ONE, v)),
+    (["ehl-test", "--input", "f.csv"], "--threads", int,
+     lambda v: split_evalue(_FOUR, threads=v)),
+    (["hl-test", "--input", "f.csv"], "--bins", int, lambda v: hl_test(_FOUR, "QR", v)),
+    (["hl-test", "--input", "f.csv"], "--alpha", _ratio, _study("alpha")),
+    (["recalibrate", "--recal", "r.csv", "--eval", "e.csv"], "--bags", int,
+     lambda v: isotonic_recalibrate(_FOUR) if v == 0 else bagged_recalibrate(_FOUR, v)),
+    (["recalibrate", "--recal", "r.csv", "--eval", "e.csv"], "--seed", int,
+     lambda v: bagged_recalibrate(_FOUR, 1, v)),
+    (["recalibrate", "--recal", "r.csv", "--eval", "e.csv"], "--grid-points", int,
+     lambda v: isotonic_recalibrate(_FOUR, grid_size=v)),
+    (["recalibrate", "--recal", "r.csv", "--eval", "e.csv"], "--grid-points", int,
+     lambda v: bagged_recalibrate(_FOUR, 1, grid_size=v)),
+    (["recalibrate", "--recal", "r.csv", "--eval", "e.csv"], "--threads", int,
+     lambda v: bagged_recalibrate(_FOUR, 1, threads=v)),
+    (["simulate"], "--n", _ints, _study("n_values")),
+    (["simulate"], "--s", _ratios, _study("s_values")),
+    (["simulate"], "--reps", int, _study("reps")),
+    (["simulate"], "--splits", int, _study("B")),
+    (["simulate"], "--seed", int, _study("seed")),
+    (["simulate"], "--threshold", float, _study("threshold")),
+    (["simulate"], "--alpha", _ratio, _study("alpha")),
+    (["simulate"], "--bins", int, _study("hl_bins")),
+    (["simulate"], "--threads", int, _study("threads")),
+]
+_CORPUS = ("0", "-1", "1", "2", "nan", "inf", "1/0", "x", str(MAX_BINS), str(MAX_BINS + 1),
+           "16,0", "1/3", "0.5", "1e400")
+
+
+@pytest.mark.parametrize("command, option, parse, call", _PARITY,
+                         ids=[f"{row[0][0]} {row[1]} {i}" for i, row in enumerate(_PARITY)])
+def test_cli_refuses_at_parse_time_exactly_what_the_library_refuses(
+    command, option, parse, call, monkeypatch, capsys
+):
+    def work(*args, **kwargs):
+        raise _Work
+
+    for module, name in ((ehl.evalue, "_replicates"), (ehl.evalue, "_PrefixBlocks"),
+                         (ehl.evalue, "_fixed_set_values"), (ehl.recalibrate, "_merged")):
+        monkeypatch.setattr(module, name, work)
+    parsed = []
+    monkeypatch.setattr(ehl.cli, "_DISPATCH",
+                        dict.fromkeys(ehl.cli._DISPATCH, lambda args: parsed.append(args) or 0))
+    dest = option.lstrip("-").replace("-", "_")
+    for text in _CORPUS:
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            refused = True
+        else:
+            try:
+                call(value)
+                refused = False
+            except _Work:
+                refused = False
+            except InputError:
+                refused = True
+        parsed.clear()
+        try:
+            rc = main([*command, option, text])
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert (rc == 2 and f"argument {option}" in err) == refused, (option, text, err)
+        if not refused:
+            # the parsed value and its type, element by element for a list
+            got = getattr(parsed[0], dest)
+            assert rc == 0 and got == value and type(got) is type(value)
+            if isinstance(value, tuple):
+                assert [type(v) for v in got] == [type(v) for v in value]
 
 
 def _run_all(calls, outdir, capsys):

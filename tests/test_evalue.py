@@ -23,6 +23,7 @@ from ehl import (
     split_evalue,
     split_indices,
 )
+import ehl.evalue
 import ehl.numeric
 from ehl.evalue import EXACT_N_LIMIT, _split_log_e
 from ehl.isotonic import _WIDE, _PrefixBlocks, _pool_blocks
@@ -483,6 +484,20 @@ def _laplace_log_e(s, n, p):
 
 def _close_in_log(got, want):
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, math.inf])
+def test_bad_threshold_is_refused_before_any_work(threshold, monkeypatch):
+    # nan never rejected and wrote the invalid JSON token NaN; -1 always rejected
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("_replicates", "_PrefixBlocks", "_fixed_set_values"):
+        monkeypatch.setattr(ehl.evalue, name, refuse)
+    ss = _samples([0.3, 0.6, 0.8, 0.4], [0, 1, 1, 0])
+    for run in (split_evalue, sequential_evalue, exact_symmetrized_evalue):
+        with pytest.raises(InputError, match="threshold must be a finite number above 0"):
+            run(ss, threshold=threshold)
 
 
 class TestOneLevelOracle:

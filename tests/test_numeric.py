@@ -128,6 +128,18 @@ class TestRng:
         with pytest.raises(InputError):
             seed_key(())
 
+    def test_seed_key_refuses_what_is_not_a_nonnegative_integer(self):
+        # int() once truncated 2.5 to 2 and read the string "12" as (1, 2),
+        # and a float or None seed raised TypeError
+        for seed in ((1, 2.5), "12", (1, -2)):
+            with pytest.raises(InputError, match="seed component"):
+                seed_key(seed)
+        for seed in (3.0, None):
+            with pytest.raises(InputError, match="seed must be"):
+                seed_key(seed)
+        key = seed_key((np.int64(3), np.uint32(4)))
+        assert key == (3, 4) and all(type(k) is int for k in key)
+
 
 class TestLogSumExp:
     def test_small_values(self):

@@ -272,6 +272,30 @@ class TestPowerStudy:
         with pytest.raises(AssertionError, match="a replication ran"):
             run_power_study(self._config(n_values=(8,), variants=("hl",), hl_bins=10))
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(threshold=math.nan), "threshold"),
+        (dict(threshold=0.0), "threshold"),
+        (dict(threshold=-1.0), "threshold"),
+        (dict(threshold=math.inf), "threshold"),
+        (dict(alpha=math.nan), "alpha"),
+        (dict(alpha=2.0), "alpha"),
+        # -1 once ran the cells of seed 2^32 - 1
+        (dict(seed=-1), "seed must be an integer of at least 0, got -1"),
+        # 0 once divided by zero in the run sizing, and -3 was reported as -6
+        (dict(n_values=(0,)), "n must be an integer of at least 1, got 0"),
+        (dict(n_values=(-3,)), "n must be an integer of at least 1, got -3"),
+        # both were refused only inside the first replication
+        (dict(hl_bins=0), "bin count must be an integer from 1 to"),
+        (dict(hl_method="XX"), "unknown binning method 'XX'"),
+    ])
+    def test_bad_scalar_is_refused_before_any_replication(self, overrides, match, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(ehl.simulate, "_one_rep", refuse)
+        with pytest.raises(InputError, match=match):
+            run_power_study(self._config(**overrides))
+
     def test_variants_do_not_change_each_other(self):
         # one draw of each split serves the feasible and the oracle e-value;
         # a study of either alone gives the same cells bit for bit
