@@ -245,7 +245,7 @@ def _cmd_recalibrate(args: argparse.Namespace) -> int:
     mapped = evaluation.with_p(curve.apply(evaluation.p))
     dump_samples(mapped, sys.stdout if args.output is None else args.output)
     if args.curve_output is not None:
-        _write(curve.to_csv(), args.curve_output)
+        curve.write_csv(args.curve_output)
     return 0
 
 

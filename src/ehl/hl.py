@@ -293,6 +293,9 @@ def hl_test(
     estimated_in_sample: bool = False,
 ) -> HLReport:
     """Bin, compute the statistic, and attach the p-value in one step."""
+    # refused before the sort; _bounds checks again for hl_sweep's cells
+    check_choice("binning method", method, METHODS)
+    check_int("bin count", g, 1, MAX_BINS)
     return _report(_sorted_view(samples), method, g, estimated_in_sample)
 
 

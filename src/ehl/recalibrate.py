@@ -18,13 +18,15 @@ can be fed straight into the likelihood-ratio e-value tests.
 
 from __future__ import annotations
 
+import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .data import SampleSet
+from .data import SampleSet, _write_csv
 from .errors import InputError, check_int
 from .isotonic import SmoothedFit, _block_ends_fit, _merged
 from .numeric import _replicates, seed_key
@@ -80,11 +82,15 @@ class RecalCurve:
         return out if arr.ndim else out[()]
 
     def to_csv(self) -> str:
-        lines = ["p,mean,q_low,q_high"]
-        for i in range(self.grid.size):
-            cells = (self.grid[i], self.mean[i], self.q_low[i], self.q_high[i])
-            lines.append(",".join(repr(float(v)) for v in cells))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
+
+    def write_csv(self, dest: str | Path | IO[str]) -> None:
+        """Write the export grid as CSV (p,mean,q_low,q_high, floats by
+        repr) to a path or a text handle, a block of rows at a time."""
+        columns = [(repr, arr) for arr in (self.grid, self.mean, self.q_low, self.q_high)]
+        _write_csv(dest, ["p", "mean", "q_low", "q_high"], columns)
 
 
 def _curve_from_fits(

@@ -463,6 +463,16 @@ def dump_rows_reference(samples):
     return "".join(lines)
 
 
+def curve_csv_reference(curve):
+    """Frozen copy of the curve export that built one string per grid row
+    and joined them: the text RecalCurve.to_csv returns."""
+    lines = ["p,mean,q_low,q_high"]
+    for i in range(curve.grid.size):
+        cells = (curve.grid[i], curve.mean[i], curve.q_low[i], curve.q_high[i])
+        lines.append(",".join(repr(float(v)) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
 # Frozen copy of the split replicate as it ran one replicate at a time: both
 # halves of the permutation sorted, the estimation part merged into knots,
 # pooled by the stack algorithm and smoothed, and the holdout interpolated

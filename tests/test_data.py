@@ -1,4 +1,5 @@
 import io
+import os
 import time
 import warnings
 
@@ -192,6 +193,22 @@ LOADER_CORPUS = {
     "empty": "",
     "blank_before_header": "\np,y\n0.5,1\n",
     "missing_column": "p,z\n0.5,1\n",
+    "line_separator": "p,y\n0.5,1\u2028\n",
+    # files with an id or label column, which the row loop reads
+    "id_column": "id,p,y\na,0.5,1\nb,0.25,0\n",
+    "label_column_last": "p,y,x,label\n0.5,1,2.5,a b\n0.25,0,-1,c\n",
+    "id_empty_cell": "id,p,y\n,0.5,1\n",
+    "id_quoted_comma": 'id,p,y\n"a,0.25,0,b",0.5,1\n',
+    "id_quote_in_used_cell": 'id,p,y\na,"0.5",1\n',
+    "id_extra_field": "id,p,y\na,0.5,1\nb,0.25,0,c\n",
+    "id_missing_unused_last_field": "p,y,id\n0.5,1,a\n0.25,0\n",
+    "id_missing_used_field": "id,p,y\na,0.5,1\nb,0.25\n",
+    "id_non_numeric_p": "id,p,y\na,0.5,1\nb,abc,0\n",
+    "id_p_out_of_range": "id,p,y\na,1.5,1\n",
+    "id_nul": "id,p,y\na\x00,0.5,1\n",
+    "id_line_separator": "id,p,y\na\u2028b,0.5,1\n",
+    "id_blank_and_space_lines": "id,p,y\na,0.5,1\n\n   \n",
+    "id_cr_inside_line": "id,p,y\nx,0.1,0\ry,0.5,1\n",
 }
 
 
@@ -253,7 +270,7 @@ class TestLoaderMatchesRowLoop:
 
         _assert_same_as_row_loop(lambda: load_samples(path), reference)
 
-    def test_number_spellings(self):
+    def test_number_spellings(self, tmp_path):
         # shortest repr, fixed and exponent forms with 17 digits, and
         # padded cells: numpy must read each as float() does
         rng = np.random.default_rng(8)
@@ -267,6 +284,12 @@ class TestLoaderMatchesRowLoop:
             )
             _assert_same_as_row_loop(
                 lambda: load_samples(io.StringIO(text)),
+                lambda: load_rows_reference(io.StringIO(text)),
+            )
+            path = tmp_path / "d.csv"
+            path.write_text(text)
+            _assert_same_as_row_loop(
+                lambda: load_samples(path),
                 lambda: load_rows_reference(io.StringIO(text)),
             )
 
@@ -291,6 +314,69 @@ class TestLoaderMatchesRowLoop:
         assert time.perf_counter() - t0 < 10.0
         assert np.array_equal(s.p.view(np.int64), p.view(np.int64))
         assert np.array_equal(s.y, y)
+
+
+class TestBlockReaderMatchesRowLoop:
+    """The corpus and the number spellings again, with every named file,
+    however small, read by np.loadtxt in blocks."""
+
+    @pytest.fixture(autouse=True)
+    def _block_read_every_file(self, monkeypatch):
+        monkeypatch.setattr(ehl.data, "_BLOCK_READ_BYTES", 0)
+
+    test_corpus = TestLoaderMatchesRowLoop.test_corpus
+    test_number_spellings = TestLoaderMatchesRowLoop.test_number_spellings
+
+
+class TestBlockReader:
+    def test_compressed_suffix_of_a_plain_file(self, tmp_path, monkeypatch):
+        # numpy's opener decompresses these suffixes, so a plain-text file
+        # so named must not reach it by name (BadGzipFile, OSError or
+        # LZMAError); it is read through the open handle, as before
+        monkeypatch.setattr(ehl.data, "_BLOCK_READ_BYTES", 0)
+        for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+            path = tmp_path / f"d.csv{suffix}"
+            path.write_text("p,y\n0.5,1\n0.25,0\n")
+            s = load_samples(path)
+            assert list(s.p) == [0.5, 0.25] and list(s.y) == [1, 0]
+
+    def test_unopenable_name_falls_back_to_the_handle(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("p,y\n0.5,1\n0.25,0\n")
+        gone = str(tmp_path / "gone.csv")
+        monkeypatch.setattr(ehl.data, "_block_path", lambda source, fh: gone)
+        s = load_samples(path)
+        assert list(s.p) == [0.5, 0.25] and list(s.y) == [1, 0]
+
+    def test_name_that_no_longer_leads_to_the_open_file(self, tmp_path, monkeypatch):
+        # the header comes from the open handle, so the numbers must too
+        # once the name is replaced or removed
+        monkeypatch.setattr(ehl.data, "_BLOCK_READ_BYTES", 0)
+        path = tmp_path / "d.csv"
+        other = tmp_path / "other.csv"
+        path.write_text("p,y\n0.5,1\n")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            assert ehl.data._block_path(path, fh) == os.path.abspath(path)
+            other.write_text("p,y\n0.25,0\n")
+            os.replace(other, path)
+            assert ehl.data._block_path(path, fh) is None
+            path.unlink()
+            assert ehl.data._block_path(path, fh) is None
+
+    @pytest.mark.parametrize("floor", [0, 1 << 40])
+    def test_invalid_utf8_past_the_first_read(self, tmp_path, monkeypatch, floor):
+        # the header reads fine, so the bad byte is met first by numpy, and
+        # the row loop must still be the one to raise
+        monkeypatch.setattr(ehl.data, "_BLOCK_READ_BYTES", floor)
+        path = tmp_path / "d.csv"
+        for header, row, bad in (("id,p,y", "r,0.5,1", b"\xff,0.5,1"), ("p,y", "0.5,1", b"0.5,1\xff")):
+            path.write_bytes((header + "\n" + (row + "\n") * 5000).encode() + bad + b"\n")
+
+            def reference():
+                with open(path, newline="") as fh:
+                    return load_rows_reference(fh)
+
+            _assert_same_as_row_loop(lambda: load_samples(path), reference)
 
 
 def _csv_text(samples):

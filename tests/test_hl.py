@@ -223,6 +223,17 @@ class TestDispatch:
         assert all(f"from 1 to {MAX_BINS}" in msg for msg in result.failures.values())
         assert len(result.failures) == len(METHODS)
 
+    def test_bad_arguments_are_refused_before_the_sort(self, monkeypatch):
+        def refuse(samples):
+            raise AssertionError("the sample was sorted")
+
+        monkeypatch.setattr(ehl.hl, "_sorted_view", refuse)
+        ss = _ss([0.2, 0.8], [0, 1])
+        with pytest.raises(InputError, match="unknown binning method"):
+            hl_test(ss, "XX", 10)
+        with pytest.raises(InputError, match=f"from 1 to {MAX_BINS}"):
+            hl_test(ss, "QR", 0)
+
     def test_time_bound_at_the_cap(self):
         # E, QL and QR build O(g) edges; 0.05-0.2 s each at 10^6 bins
         rng = np.random.default_rng(13)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import ehl.data
 import ehl.recalibrate
 from ehl import (
     InputError,
@@ -15,7 +16,7 @@ from ehl import (
 )
 from ehl.isotonic import laplace_smooth, pava_fit
 from ehl.numeric import expit_array, logit
-from helpers import bagged_reference
+from helpers import bagged_reference, curve_csv_reference
 
 
 def _ss(p, y):
@@ -335,6 +336,20 @@ class TestApplyShapes:
 
 
 class TestCurveObject:
+    def test_csv_bytes_across_block_boundaries(self, tmp_path):
+        rows = ehl.data._DUMP_ROWS
+        recal = _calibrated(60, seed=13)
+        for grid_size in (2, rows - 1, rows, rows + 1, 2 * rows + 1):
+            for curve in (
+                isotonic_recalibrate(recal, grid_size=grid_size),
+                bagged_recalibrate(recal, n_bags=5, seed=2, grid_size=grid_size),
+            ):
+                text = curve.to_csv()
+                assert text == curve_csv_reference(curve)
+                path = tmp_path / "curve.csv"
+                curve.write_csv(path)
+                assert path.read_bytes() == text.encode()
+
     def test_csv_layout_and_roundtrip(self):
         curve = bagged_recalibrate(_calibrated(40, seed=12), n_bags=6, seed=1, grid_size=21)
         text = curve.to_csv()
