@@ -91,71 +91,116 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("ehl-test", help="e-value calibration test on a forecast CSV")
     t.add_argument("--input", required=True, help="CSV with columns p,y")
-    t.add_argument("--variant", choices=("split", "sequential", "exact"), default="split")
+    t.add_argument("--variant", choices=("split", "sequential", "exact"), default="split",
+                   help="which e-value: split averages B random splits, sequential "
+                        "takes the rows in file order, exact averages every order "
+                        "(default split)")
     t.add_argument("--split-fraction", type=_checked(_fraction, check_fraction),
                    default=0.5, metavar="S",
-                   help="estimation fraction for the split variant (accepts a/b, default 1/2)")
+                   help="estimation fraction for the split variant, a number strictly "
+                        "in (0, 1) (accepts a/b, default 1/2)")
     t.add_argument("--splits", type=_checked(int, check_int, 1), default=10000, metavar="B",
-                   help="number of splits for the split variant (default 10000)")
-    t.add_argument("--seed", type=_checked(int, check_int, 0), default=0)
+                   help="number of splits for the split variant, an integer of at "
+                        "least 1 (default 10000)")
+    t.add_argument("--seed", type=_checked(int, check_int, 0), default=0,
+                   help="seed of the split variant's random splits, an integer of at "
+                        "least 0 (default 0)")
     t.add_argument("--threshold", type=_checked(float, check_positive), default=20.0,
-                   help="rejection threshold on the e-value (default 20)")
+                   help="rejection threshold on the e-value, a finite number above 0 "
+                        "(default 20)")
     t.add_argument("--n-max", type=_checked(int, check_int, 1), default=8,
-                   help="sample-size cap for the exact variant (default 8; samples "
-                        f"above {EXACT_N_LIMIT} are refused whatever the cap)")
-    t.add_argument("--threads", type=_checked(int, check_int, 1), default=1)
+                   help="sample-size cap for the exact variant, an integer of at least "
+                        f"1 (default 8; samples above {EXACT_N_LIMIT} are refused "
+                        "whatever the cap)")
+    t.add_argument("--threads", type=_checked(int, check_int, 1), default=1,
+                   help="worker threads for the splits, an integer of at least 1; the "
+                        "result does not depend on it (default 1)")
     t.add_argument("--output", help="write JSON here instead of stdout")
 
     h = sub.add_parser("hl-test", help="binned chi-square calibration test")
-    h.add_argument("--input", required=True)
-    h.add_argument("--bins", type=_checked(int, check_int, 1, MAX_BINS), default=10, metavar="G")
-    h.add_argument("--binning", choices=METHODS, default="QR")
+    h.add_argument("--input", required=True, help="CSV with columns p,y")
+    h.add_argument("--bins", type=_checked(int, check_int, 1, MAX_BINS), default=10, metavar="G",
+                   help=f"number of bins, an integer from 1 to {MAX_BINS} (default 10)")
+    h.add_argument("--binning", choices=METHODS, default="QR",
+                   help="how the bins are cut: E equal width, QL/QR at the "
+                        "quantiles (a forecast on a cut goes left/right), "
+                        "Qplus/Qminus equal counts (default QR)")
     h.add_argument("--dof", choices=("g", "g-2"), default="g",
                    help="degrees of freedom: g for out-of-sample forecasts, g-2 in-sample")
-    h.add_argument("--alpha", type=_checked(_fraction, check_fraction), default=0.05)
-    h.add_argument("--output")
+    h.add_argument("--alpha", type=_checked(_fraction, check_fraction), default=0.05,
+                   help="level at which reject_at_alpha is set, a number strictly in "
+                        "(0, 1) (accepts a/b, default 0.05)")
+    h.add_argument("--output", help="write JSON here instead of stdout")
 
     w = sub.add_parser("hl-sweep", help="chi-square test across all binnings and g=5..20")
-    w.add_argument("--input", required=True)
-    w.add_argument("--dof", choices=("g", "g-2"), default="g")
-    w.add_argument("--format", choices=("csv", "json"), default="csv")
+    w.add_argument("--input", required=True, help="CSV with columns p,y")
+    w.add_argument("--dof", choices=("g", "g-2"), default="g",
+                   help="degrees of freedom: g for out-of-sample forecasts, g-2 in-sample")
+    w.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
     w.add_argument("--mode", choices=("machine", "display"), default="machine",
                    help="csv float rendering: full precision or 2 decimals")
-    w.add_argument("--output")
+    w.add_argument("--output", help="write the table here instead of stdout")
 
     r = sub.add_parser("recalibrate", help="isotonic recalibration of forecasts")
     r.add_argument("--recal", required=True, help="CSV used to fit the recalibration map")
     r.add_argument("--eval", required=True, help="CSV whose forecasts are mapped")
     r.add_argument("--bags", type=_checked(int, check_int, 0), default=100,
-                   help="bootstrap bags; 0 fits a single curve (default 100)")
-    r.add_argument("--seed", type=_checked(int, check_int, 0), default=0)
-    r.add_argument("--grid-points", type=_checked(int, check_int, 2), default=1001)
-    r.add_argument("--threads", type=_checked(int, check_int, 1), default=1)
+                   help="bootstrap bags, an integer of at least 0; 0 fits a single "
+                        "curve (default 100)")
+    r.add_argument("--seed", type=_checked(int, check_int, 0), default=0,
+                   help="seed of the bootstrap bags, an integer of at least 0 (default 0)")
+    r.add_argument("--grid-points", type=_checked(int, check_int, 2), default=1001,
+                   help="points of the curve grid on [0, 1], an integer of at least 2 "
+                        "(default 1001)")
+    r.add_argument("--threads", type=_checked(int, check_int, 1), default=1,
+                   help="worker threads for the bags, an integer of at least 1; the "
+                        "result does not depend on it (default 1)")
     r.add_argument("--curve-output", help="write the curve grid CSV (p,mean,q_low,q_high) here")
     r.add_argument("--output", help="write the recalibrated eval CSV here instead of stdout")
 
     m = sub.add_parser("simulate", help="Monte Carlo power study")
     m.add_argument("--j", type=_listed(float), default=(0.0,), metavar="J1,J2,...",
-                   help="miscalibration levels (default 0)")
+                   help="miscalibration levels; each must leave the anchor "
+                        "probability j + 0.00733745 strictly in (0, 1) (default 0)")
     m.add_argument("--n", type=_listed(_checked(int, check_int, 1)), default=(1024,),
-                   metavar="N1,N2,...")
+                   metavar="N1,N2,...",
+                   help="sample sizes, integers of at least 1: each replication fits "
+                        "on n points and tests on n more (default 1024)")
     m.add_argument("--s", type=_listed(_checked(_fraction, check_fraction)),
                    default=(1.0 / 3.0, 0.5, 2.0 / 3.0), metavar="S1,S2,...",
-                   help="train fractions for the split e-value (default 1/3,1/2,2/3)")
+                   help="train fractions for the split e-value, numbers strictly in "
+                        "(0, 1) (accepts a/b, default 1/3,1/2,2/3)")
     m.add_argument("--variants", type=_name_list, default=("ehl", "hl"),
                    help="comma list from ehl,hl,oracle (default ehl,hl)")
-    m.add_argument("--reps", type=_checked(int, check_int, 1), default=1000)
+    m.add_argument("--reps", type=_checked(int, check_int, 1), default=1000,
+                   help="replications per (j, n) cell, an integer of at least 1 "
+                        "(default 1000)")
     m.add_argument("--splits", type=_checked(int, check_int, 1), default=10, metavar="B",
-                   help="splits per e-value inside the study (default 10)")
-    m.add_argument("--seed", type=_checked(int, check_int, 0), default=0)
-    m.add_argument("--threshold", type=_checked(float, check_positive), default=20.0)
-    m.add_argument("--alpha", type=_checked(_fraction, check_fraction), default=0.05)
-    m.add_argument("--bins", type=_checked(int, check_int, 1, MAX_BINS), default=10)
-    m.add_argument("--binning", choices=METHODS, default="QR")
-    m.add_argument("--dof", choices=("g", "g-2"), default="g")
-    m.add_argument("--threads", type=_checked(int, check_int, 1), default=1)
-    m.add_argument("--format", choices=("csv", "json"), default="csv")
-    m.add_argument("--output")
+                   help="splits per e-value inside the study, an integer of at least 1 "
+                        "(default 10)")
+    m.add_argument("--seed", type=_checked(int, check_int, 0), default=0,
+                   help="seed of the whole study, an integer of at least 0 (default 0)")
+    m.add_argument("--threshold", type=_checked(float, check_positive), default=20.0,
+                   help="e-value rejection threshold, a finite number above 0 (default 20)")
+    m.add_argument("--alpha", type=_checked(_fraction, check_fraction), default=0.05,
+                   help="level of the chi-square test, a number strictly in (0, 1) "
+                        "(accepts a/b, default 0.05)")
+    m.add_argument("--bins", type=_checked(int, check_int, 1, MAX_BINS), default=10,
+                   help=f"bins of the chi-square test, an integer from 1 to {MAX_BINS} "
+                        "(default 10)")
+    m.add_argument("--binning", choices=METHODS, default="QR",
+                   help="how the chi-square test cuts its bins, as hl-test --binning "
+                        "(default QR)")
+    m.add_argument("--dof", choices=("g", "g-2"), default="g",
+                   help="degrees of freedom of the chi-square test, as hl-test --dof "
+                        "(default g)")
+    m.add_argument("--threads", type=_checked(int, check_int, 1), default=1,
+                   help="worker threads for the replications, an integer of at least 1; "
+                        "the result does not depend on it (default 1)")
+    m.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
+    m.add_argument("--output", help="write the study here instead of stdout")
 
     return parser
 

@@ -19,7 +19,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -137,9 +137,10 @@ def load_samples(source: str | Path | IO[str]) -> SampleSet:
     label column, ragged rows, a value out of range, no data rows) sends
     the source back to its start and through the row-by-row csv loop, so
     results and errors are the same either way; that loop is also the only
-    path for sources that cannot seek. The one exception is a number longer
-    than csv.field_size_limit() characters: the C reader reads it, and the
-    row loop would raise csv.Error.
+    path for sources that cannot seek. The one exception is a field longer
+    than csv.field_size_limit() characters. The C reader reads such a
+    number; the row loop refuses its row with an InputError that gives the
+    row number, and so it refuses a file whose long field is an id or label.
 
     A UTF-8 byte-order mark, as spreadsheet programs write at the start of
     a CSV, is skipped, in a file and at the start of a text stream.
@@ -230,9 +231,24 @@ def _numbers(fh: IO[str], path: str | None) -> np.ndarray | None:
         return None
 
 
+def _records(reader: csv.DictReader) -> Iterator[tuple[int, dict]]:
+    """(data row number, record) of each row of reader, 1-based; a row that
+    the csv module cannot read, such as one with a field longer than
+    csv.field_size_limit(), raises InputError with its number."""
+    row_num = 0
+    try:
+        for row_num, record in enumerate(reader, start=1):
+            yield row_num, record
+    except csv.Error as exc:
+        raise InputError(f"row {row_num + 1}: {exc}") from None
+
+
 def _load_rows(fh: IO[str]) -> SampleSet:
     reader = csv.DictReader(fh)
-    header = reader.fieldnames
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise InputError(f"header: {exc}") from None
     if header is None:
         raise InputError("empty input: no CSV header")
     if header and header[0].startswith("\ufeff"):
@@ -245,7 +261,7 @@ def _load_rows(fh: IO[str]) -> SampleSet:
     ps: list[float] = []
     ys: list[int] = []
     extras: dict[str, list[float]] = {name: [] for name in optional}
-    for row_num, record in enumerate(reader, start=1):
+    for row_num, record in _records(reader):
         raw_p = record.get("p")
         raw_y = record.get("y")
         if raw_p is None or raw_y is None or raw_p == "" or raw_y == "":

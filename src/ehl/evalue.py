@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,10 +290,32 @@ def exact_symmetrized_evalue(
     return EValueReport.from_log("exact", log_e, threshold=threshold)
 
 
+class _SplitView(NamedTuple):
+    """A sample in sorted-p order, as every split fit over it reads it: pos
+    is each observation's place in that order, and log_ps and log1m_ps are
+    log p and log1p(-p) of the sorted forecasts."""
+
+    ps: np.ndarray
+    ys: np.ndarray
+    pos: np.ndarray
+    log_ps: np.ndarray
+    log1m_ps: np.ndarray
+
+
+def _split_view(samples: SampleSet) -> _SplitView:
+    """The sorted view of samples that _split_log_e fits its splits on; one
+    view serves every split fraction."""
+    p = samples.p
+    order = _stable_order(p)
+    pos = np.empty(len(samples), dtype=np.int64)
+    pos[order] = np.arange(len(samples))
+    return _SplitView(p[order], samples.y[order], pos, np.log(p)[order], np.log1p(-p)[order])
+
+
 def _split_log_e(
     samples: SampleSet,
     s: float,
-    fit: bool,
+    view: _SplitView | None,
     oracle_terms: np.ndarray | None = None,
 ) -> Callable[
     [int, Iterable[np.random.Generator]], list[tuple[float | None, float | None]]
@@ -301,11 +323,12 @@ def _split_log_e(
     """Split replicates over one sample, as body(b0, rngs) for _replicates.
 
     Each replicate draws its split from its generator, as split_indices
-    does, and gives (fitted, oracle). With fit, fitted is the holdout's log
-    likelihood ratio against the Laplace-smoothed isotonic curve fitted on
-    the estimation part; with oracle_terms, oracle is their sum over the
-    same holdout. Either is None when not asked for. So one draw serves both
-    e-values, and neither value depends on whether the other is taken.
+    does, and gives (fitted, oracle). With view, the sample's _split_view,
+    fitted is the holdout's log likelihood ratio against the
+    Laplace-smoothed isotonic curve fitted on the estimation part; with
+    oracle_terms, oracle is their sum over the same holdout. Either is None
+    when not asked for. So one draw serves both e-values, and neither value
+    depends on whether the other is taken.
 
     The replicates of a run are fitted together, one row each of a
     c x n array: one pass finds every row's knots, one _pool_rows call
@@ -318,15 +341,8 @@ def _split_log_e(
     # validate the split geometry once, with the rule split_indices applies
     k = _train_size(n, s)
     h = n - k
-    if fit:
-        p = samples.p
-        order = _stable_order(p)
-        ps = p[order]
-        ys = samples.y[order]
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        log_ps = np.log(p)[order]
-        log1m_ps = np.log1p(-p)[order]
+    if view is not None:
+        ps, ys, pos, log_ps, log1m_ps = view
 
     def body(
         b0: int, rngs: Iterable[np.random.Generator]
@@ -344,7 +360,7 @@ def _split_log_e(
             if oracle_terms is None
             else oracle_terms[hold].sum(axis=1).tolist()
         )
-        if not fit:
+        if view is None:
             return list(zip([None] * c, oracle))
         # the same masks in sorted-p order
         taken[:] = False
@@ -399,7 +415,7 @@ def split_evalue(
     key = seed_key(seed)
     _require_interior(samples)
     n = len(samples)
-    body = _split_log_e(samples, s, fit=True)
+    body = _split_log_e(samples, s, _split_view(samples))
     replicates = _replicates(
         key, B, body, threads=threads, n=n, pool=ThreadPoolExecutor
     )

@@ -7,7 +7,9 @@ the replicates over in seeded runs of bounded size: each replicate keeps
 its own generator, and a run covers at most _RUN_CELLS replicate-times-row
 cells, so the split engine can fit a whole run in one batched pass. The
 generators are seeded in bulk: one vectorized pass of numpy's SeedSequence
-algorithm gives a whole block of replicates their state words.
+algorithm gives a whole block of replicates their state words, and the keys
+of a block may differ in some of their words, as the split keys of a run of
+power-study replications do.
 
 The chi-square survival function is computed from the regularized upper
 incomplete gamma function with the classic two-regime scheme: a power series
@@ -44,7 +46,8 @@ _THREAD_MIN_N = 8192
 # most replicates times sample size that one run of replicates covers: a
 # run of the batched split fit peaks at about 3 MiB of arrays
 _RUN_CELLS = 2**15
-# most replicates whose generator states one bulk-seeding pass computes
+# most (key row, replicate) pairs whose generator states one bulk-seeding
+# pass computes
 _SEED_BLOCK = 256
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
 # hashes its input with INIT_A/MULT_A and its output with INIT_B/MULT_B
@@ -98,12 +101,21 @@ def logsumexp(values: Sequence[float] | np.ndarray) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return -math.inf
-    m = float(np.max(arr))
-    if m == -math.inf:
-        return -math.inf
-    if math.isinf(m):
-        return math.inf
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return _logsumexp_rows(arr.reshape(1, -1))[0]
+
+
+def _logsumexp_rows(arr: np.ndarray) -> list[float]:
+    """logsumexp of each row of a two-dimensional array with at least one
+    column. A row whose maximum is -inf, +inf or nan gives that maximum;
+    any other row is shifted by its maximum, and each row's exponentials
+    are summed as np.sum sums that row alone."""
+    m = np.max(arr, axis=1)
+    out = m.tolist()
+    finite = np.flatnonzero(np.isfinite(m))
+    sums = np.sum(np.exp(arr[finite] - m[finite, None]), axis=1)
+    for i, total in zip(finite.tolist(), sums.tolist()):
+        out[i] += math.log(total)
+    return out
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -277,92 +289,96 @@ def _hash_consts(init: int, mult: int, count: int) -> list[int]:
     return consts
 
 
-def _hashmix(
-    value: int | np.ndarray, const: int | np.ndarray, mult: int | np.ndarray
-) -> int | np.ndarray:
+def _hashmix(value: np.ndarray, const: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix of value at hash constant const, whose next
-    value is mult. Words are Python ints or uint64 arrays below 2^32, and
-    each product is masked back to 32 bits, so one expression serves both;
-    a uint64 product of two such words cannot overflow."""
+    value is mult: uint64 arrays of words below 2^32, or for value also a
+    Python int. Each product is masked back to 32 bits; a uint64 product of
+    two such words cannot overflow."""
     value = (value ^ const) * mult & _WORD
     return value ^ value >> 16
 
 
-def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SeedSequence's mix of two words, as _hashmix takes them. A uint64
     difference may wrap, which leaves its low 32 bits right."""
     value = (_MIX_L * x - _MIX_R * y) & _WORD
     return value ^ value >> 16
 
 
-def _mix_entropy(entropy: list, consts: list[int]) -> tuple[list, int]:
-    """SeedSequence.mix_entropy into a pool of four words: the pool and the
-    number of hash constants used.
+def _column(values: list[int]) -> np.ndarray:
+    """values as a uint64 column, which broadcasts over a row's entries."""
+    return np.array(values, dtype=np.uint64)[:, None]
+
+
+# the first 17 hash constants, the same for every entropy: the four first
+# words are hashed with constants 0-3, each multiplied by the next one; then
+# source word src is mixed into each other pool word d with constant
+# 4 + 3 src + (d's place among the three), given here as a column over d
+# whose entry at src is never read
+_FILL = _hash_consts(_INIT_A, _MULT_A, 17)
+_FIRST = _column(_FILL[:5])
+_CROSS = [
+    tuple(
+        _column([_FILL[t + 3 * src + d - (d > src)] if d != src else 0 for d in range(4)])
+        for t in (4, 5)
+    )
+    for src in range(4)
+]
+
+
+def _mix_entropy(entropy: list[int | np.ndarray]) -> np.ndarray:
+    """SeedSequence.mix_entropy into a pool of four words, as a 4 x m array
+    whose column i is the pool of row i. An entropy word is a Python int or
+    a uint64 array of length m, below 2^32.
 
     The pool starts as the first four entropy words hashed, 0 past the end.
     Then each pool word is mixed into the other three, and each later
-    entropy word into all four.
+    entropy word into all four. A source word does not change while it is
+    mixed in, so each of these steps is one pass over all four pool words.
     """
-    pool = [
-        _hashmix(entropy[i] if i < len(entropy) else 0, consts[i], consts[i + 1])
-        for i in range(4)
-    ]
-    t = 4
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[t], consts[t + 1]))
-                t += 1
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts[t], consts[t + 1]))
-            t += 1
-    return pool, t
+    rows = max((len(word) for word in entropy if isinstance(word, np.ndarray)), default=1)
+    pool = np.zeros((4, rows), dtype=np.uint64)
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
+    pool = _hashmix(pool, _FIRST[:-1], _FIRST[1:])
+    for src, (const, mult) in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[src], const, mult))
+        mixed[src] = pool[src]
+        pool = mixed
+    if len(entropy) > 4:
+        # constants 16 on, four for each later word
+        later = _column(_hash_consts(_FILL[16], _MULT_A, 4 * len(entropy) - 15))
+        for t, word in zip(range(0, len(later), 4), entropy[4:]):
+            pool = _mix(pool, _hashmix(word, later[t : t + 4], later[t + 1 : t + 5]))
+    return pool
 
 
 # generate_state(4, np.uint64) hashes the pool out into eight 32-bit words,
 # reading pool word i % 4 for output word i
-_OUT = np.array(_hash_consts(_INIT_B, _MULT_B, 9), dtype=np.uint64)[:, None]
+_OUT = _column(_hash_consts(_INIT_B, _MULT_B, 9))
 
 
-def _seed_states(key: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """states(bs): for a uint64 array bs of indices below 2^32, the
-    len(bs) x 4 uint64 array whose row i is
-    SeedSequence([*key, bs[i]]).generate_state(4, np.uint64).
+def _seed_states(key: tuple[int | np.ndarray, ...]) -> np.ndarray:
+    """The m x 4 uint64 array whose row i is
+    SeedSequence(key_i).generate_state(4, np.uint64), where key_i is key
+    with each array part replaced by its entry i.
 
-    SeedSequence's entropy is each key part's 32-bit words, low word first
-    (0 gives one word), then b's one word. The steps that do not depend on
-    b run here once, on Python ints; states runs the rest on arrays.
+    A part is a Python int of any size, or a uint64 array of entries below
+    2^32, all such arrays of one length m (m is 1 when no part is an array).
+    SeedSequence's entropy is each part's 32-bit words, low word first (0
+    gives one word), so an array part is one word in every row.
     """
-    words = [
-        int(part) >> shift & _WORD
-        for part in key
-        for shift in range(0, max(int(part).bit_length(), 1), 32)
-    ]
-    # 16 hashes fill and cross-mix the pool, and 4 more absorb each entropy
-    # word past the fourth; each hash also reads the next constant
-    consts = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(0, len(words) - 3))
-    if len(words) < 4:
-        # b's word is in the pool's first four, so every step depends on it
-        def pool(bs: np.ndarray) -> np.ndarray:
-            return np.stack(_mix_entropy([*words, bs], consts)[0])
-
-    else:
-        # b's word comes last: mix the key in once, then b into all four
-        # pool words in one pass, with four consecutive hash constants
-        head, t = _mix_entropy(words, consts)
-        head = np.array(head, dtype=np.uint64)[:, None]
-        c = np.array(consts[t : t + 5], dtype=np.uint64)[:, None]
-
-        def pool(bs: np.ndarray) -> np.ndarray:
-            return _mix(head, _hashmix(bs, c[:-1], c[1:]))
-
-    def states(bs: np.ndarray) -> np.ndarray:
-        out = _hashmix(pool(bs)[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT[:-1], _OUT[1:])
-        # each pair of 32-bit words, low word first, is one uint64 word
-        return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
-
-    return states
+    words = []
+    for part in key:
+        if isinstance(part, np.ndarray):
+            words.append(part)
+        else:
+            part = int(part)
+            words += [part >> shift & _WORD for shift in range(0, max(part.bit_length(), 1), 32)]
+    pool = _mix_entropy(words)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT[:-1], _OUT[1:])
+    # each pair of 32-bit words, low word first, is one uint64 word
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
 
 
 class _StateWords(ISeedSequence):
@@ -376,21 +392,54 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _generators(key: tuple[int, ...], lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """Generators with the states of default_rng([*key, b]) for b in
-    range(lo, hi), one at a time.
+def _generators(
+    key: tuple[int | np.ndarray, ...], lo: int, hi: int
+) -> Iterator[np.random.Generator]:
+    """Generators with the states of default_rng([*key_i, b]) for each row
+    key_i of key and each b in range(lo, hi), one at a time, row by row.
 
-    Their state words come from _seed_states in blocks of at most
-    _SEED_BLOCK indices. An index of 2^32 or more has two words in
-    SeedSequence's entropy, so it falls back to default_rng.
+    A part of key is an int, or a uint64 array whose entries give the rows
+    (see _seed_states); a key of ints is one row. The state words come from
+    _seed_states in blocks of at most _SEED_BLOCK (row, b) pairs. An entry
+    of 2^32 or more, b included, has two words in SeedSequence's entropy,
+    so its row falls back to default_rng.
     """
-    states = _seed_states(key)
-    for b0 in range(lo, min(hi, 2**32), _SEED_BLOCK):
-        bs = np.arange(b0, min(b0 + _SEED_BLOCK, hi, 2**32), dtype=np.uint64)
-        for words in states(bs):
-            yield np.random.Generator(np.random.PCG64(_StateWords(words)))
-    for b in range(max(lo, 2**32), hi):
-        yield np.random.default_rng([*key, b])
+    rows = next((len(part) for part in key if isinstance(part, np.ndarray)), 1)
+    span = hi - lo
+    for q0 in range(0, rows * span, _SEED_BLOCK):
+        row, b = np.divmod(np.arange(q0, min(q0 + _SEED_BLOCK, rows * span)), span)
+        entropy = [part[row] if isinstance(part, np.ndarray) else part for part in key]
+        entropy.append(np.uint64(lo) + b.astype(np.uint64))
+        arrays = [part for part in entropy if isinstance(part, np.ndarray)]
+        wide = np.logical_or.reduce([part > _WORD for part in arrays]).tolist()
+        states = _seed_states(
+            tuple(part & _WORD if isinstance(part, np.ndarray) else part for part in entropy)
+        )
+        for i, (words, fallback) in enumerate(zip(states, wide)):
+            if fallback:
+                yield np.random.default_rng(
+                    [int(part[i]) if isinstance(part, np.ndarray) else part for part in entropy]
+                )
+            else:
+                yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+def _runs(
+    body: Callable[[int, Iterable[np.random.Generator]], list],
+    rngs: Iterator[np.random.Generator],
+    lo: int,
+    hi: int,
+    n: int,
+) -> list:
+    """body's results for replicates lo..hi - 1 of an n-observation sample,
+    handed to body(b0, rngs) in runs of at most max(1, _RUN_CELLS // n)
+    consecutive replicates; each run takes its generators in order from
+    rngs, which may go on past hi."""
+    run = max(1, _RUN_CELLS // n)
+    out = []
+    for b0 in range(lo, hi, run):
+        out += body(b0, islice(rngs, min(run, hi - b0)))
+    return out
 
 
 def _replicates(
@@ -407,26 +456,27 @@ def _replicates(
     The replicates go to body(b0, rngs) in runs of consecutive indices
     b0, b0 + 1, ..., where rngs yields the i-th replicate of the run a
     generator with the state of default_rng([*key, b0 + i]), one at a time,
-    and body returns one result per generator. A run holds at most
-    max(1, _RUN_CELLS // n) replicates of a sample of n observations.
-    The generators come from _generators, which seeds them in bulk. So a
-    generator's bit_generator.seed_seq is a _StateWords, not a
+    and body returns one result per generator. _runs cuts the runs: a run
+    holds at most max(1, _RUN_CELLS // n) replicates of a sample of n
+    observations. The generators come from _generators, which seeds them in
+    bulk. So a generator's bit_generator.seed_seq is a _StateWords, not a
     SeedSequence, and cannot spawn; nothing in this package calls spawn.
     Replicate b draws only from its own generator, so the result does not
     depend on how the replicates are cut into runs or spread over threads.
     The spans come from _thread_spans(count, threads, n); when there is more
     than one, they run on the caller's ThreadPoolExecutor, passed as pool,
     one worker per span.
+
+    run_power_study hands its replications through here, and cuts the
+    splits of each replication with _runs as chunk does. Their generators
+    come from one _generators stream per run of replications, whose key
+    rows are the split keys (seed, 1, ji, ni, r, si) of the run, so a
+    block of the stream seeds the splits of several replications at once.
     """
-    run = max(1, _RUN_CELLS // n)
 
     def chunk(span: tuple[int, int]) -> list:
         lo, hi = span
-        rngs = _generators(key, lo, hi)
-        out = []
-        for b0 in range(lo, hi, run):
-            out += body(b0, islice(rngs, run))
-        return out
+        return _runs(body, _generators(key, lo, hi), lo, hi, n)
 
     spans = _thread_spans(count, threads, n)
     if len(spans) == 1:

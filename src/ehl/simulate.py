@@ -25,21 +25,23 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ._version import __version__
 from .data import SampleSet, _train_size
 from .errors import FitError, InputError, check_choice, check_fraction, check_int, check_positive
-from .evalue import _log_eq_terms, _require_interior, _split_log_e
+from .evalue import _log_eq_terms, _require_interior, _split_log_e, _split_view
 from .hl import MAX_BINS, METHODS, hl_test
 from .numeric import (
+    _generators,
+    _logsumexp_rows,
     _replicates,
+    _runs,
     exp_clamped,
     expit_array,
     logit,
-    logsumexp,
     solve_linear_3x3,
 )
 
@@ -100,33 +102,80 @@ def fit_logistic_linear(samples: SampleSet, max_iter: int = 100, tol: float = 1e
     """
     if samples.x is None:
         raise InputError("logistic fit requires covariates x")
-    x = samples.x
-    y = samples.y.astype(float)
-    if np.all(y == y[0]):
-        raise FitError("logistic fit requires both outcome classes")
+    fit = _fit_logistic_rows(samples.x[None, :], samples.y[None, :], max_iter, tol)[0]
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def _fit_logistic_rows(
+    x: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float = 1e-8
+) -> list[tuple[float, float] | FitError]:
+    """fit_logistic_linear of each row of the c x m covariates x and 0/1
+    outcomes y: the row's (intercept, slope), or the FitError that
+    fit_logistic_linear raises on that row.
+
+    One Newton loop runs every row, and a row leaves it at its own stopping
+    step. Every step is per element or per row, and numpy sums each row of
+    a contiguous array as it sums that row alone, so each row's values have
+    the bits of the row fitted on its own.
+    """
+    y = y.astype(float)
+    single = np.all(y == y[:, :1], axis=1)
     # a constant covariate leaves the slope unidentified, and a balanced
     # outcome would let the start point pass as a stationary fit
-    if np.all(x == x[0]):
-        raise FitError("covariate x is constant; the slope is not identified")
-    b0 = 0.0
-    b1 = 0.0
+    constant = np.all(x == x[:, :1], axis=1)
+    out: list = [
+        FitError("logistic fit requires both outcome classes")
+        if one_class
+        else FitError("covariate x is constant; the slope is not identified")
+        if flat
+        else None
+        for one_class, flat in zip(single.tolist(), constant.tolist())
+    ]
+    rows = np.flatnonzero(~(single | constant))
+    x = x[rows]
+    y = y[rows]
+    b0 = np.zeros(len(rows))
+    b1 = np.zeros(len(rows))
     for _ in range(max_iter):
-        mu = expit_array(b0 + b1 * x)
+        if not rows.size:
+            break
+        mu = expit_array(b0[:, None] + b1[:, None] * x)
         resid = y - mu
-        g0 = float(np.sum(resid))
-        g1 = float(np.sum(resid * x))
-        if max(abs(g0), abs(g1)) < tol:
-            return b0, b1
+        g0 = resid.sum(axis=1)
+        g1 = (resid * x).sum(axis=1)
         w = mu * (1.0 - mu)
-        h00 = float(np.sum(w))
-        h01 = float(np.sum(w * x))
-        h11 = float(np.sum(w * x * x))
-        det = h00 * h11 - h01 * h01
-        if not math.isfinite(det) or abs(det) < 1e-12 * max(h00 * h11, 1e-12):
-            raise FitError("singular information matrix in logistic fit")
-        b0 += (h11 * g0 - h01 * g1) / det
-        b1 += (h00 * g1 - h01 * g0) / det
-    raise FitError(f"logistic fit did not converge in {max_iter} iterations")
+        h00 = w.sum(axis=1)
+        h01 = (w * x).sum(axis=1)
+        h11 = (w * x * x).sum(axis=1)
+        scale = h00 * h11
+        det = scale - h01 * h01
+        step0 = h11 * g0 - h01 * g1
+        step1 = h00 * g1 - h01 * g0
+        # each row's stopping rule on Python floats, as one row's fit reads it
+        stop = []
+        for i, (r, grad0, grad1, d, sc) in enumerate(
+            zip(rows.tolist(), g0.tolist(), g1.tolist(), det.tolist(), scale.tolist())
+        ):
+            if max(abs(grad0), abs(grad1)) < tol:
+                out[r] = (float(b0[i]), float(b1[i]))
+            elif not math.isfinite(d) or abs(d) < 1e-12 * max(sc, 1e-12):
+                out[r] = FitError("singular information matrix in logistic fit")
+            else:
+                continue
+            stop.append(i)
+        if stop:
+            keep = np.ones(len(rows), dtype=bool)
+            keep[stop] = False
+            rows, x, y, b0, b1, step0, step1, det = (
+                a[keep] for a in (rows, x, y, b0, b1, step0, step1, det)
+            )
+        b0 += step0 / det
+        b1 += step1 / det
+    for i in rows.tolist():
+        out[i] = FitError(f"logistic fit did not converge in {max_iter} iterations")
+    return out
 
 
 @dataclass(frozen=True)
@@ -241,6 +290,13 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
     variants so their comparison is paired. Results are invariant to the
     thread count. Replications whose logistic fit fails are counted and
     excluded from the cell's rates.
+
+    The replications come in the runs that _replicates hands over, and a
+    run is done as one unit: its logistic fits run in one Newton loop, and
+    the split keys (seed, 1, ji, ni, r, si) of all its replications that
+    test splits, each with every b, are seeded by one _generators stream,
+    in vectorized blocks. Each of those replications sorts its sample once
+    for all split fractions.
     """
     # an infeasible j fails here, before any cell has run, and so do a split
     # and an equal-count bin count that no sample of the size can meet
@@ -259,10 +315,7 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
             rep_results = _replicates(
                 (config.seed, 0, ji, ni),
                 config.reps,
-                lambda r0, rngs: [
-                    _one_rep(config, model, n, ji, ni, r0 + i, rng)
-                    for i, rng in enumerate(rngs)
-                ],
+                lambda r0, rngs: _run(config, model, n, ji, ni, r0, rngs),
                 threads=config.threads,
                 n=n,
                 pool=ThreadPoolExecutor,
@@ -277,52 +330,79 @@ def run_power_study(config: SimulationConfig) -> PowerStudyReport:
     return PowerStudyReport(config, tuple(cells))
 
 
-def _one_rep(
+def _run(
     config: SimulationConfig,
     model: QuadraticModel,
     n: int,
     ji: int,
     ni: int,
-    r: int,
-    rng: np.random.Generator,
-) -> dict | None:
-    data = generate_data(2 * n, model, rng)
-    estimation = data.take(np.arange(n))
-    validation = data.take(np.arange(n, 2 * n))
+    r0: int,
+    rngs: Iterable[np.random.Generator],
+) -> list[dict | None]:
+    """The results of replications r0, r0 + 1, ... of one cell, one per
+    generator; None where the logistic fit failed."""
+    data = [generate_data(2 * n, model, rng) for rng in rngs]
     if model.j == 0.0:
-        b0, b1 = model.beta0, model.beta1
+        fits = [(model.beta0, model.beta1)] * len(data)
     else:
-        try:
-            b0, b1 = fit_logistic_linear(estimation)
-        except FitError:
-            return None
-    predicted = validation.with_p(expit_array(b0 + b1 * validation.x))
+        fits = _fit_logistic_rows(
+            np.stack([d.x[:n] for d in data]), np.stack([d.y[:n] for d in data])
+        )
+    tested = [i for i, fit in enumerate(fits) if not isinstance(fit, FitError)]
+    splits = None
+    if {"ehl", "oracle"} & set(config.variants):
+        sis = len(config.s_values)
+        r = np.repeat(np.array(tested, dtype=np.uint64) + np.uint64(r0), sis)
+        si = np.tile(np.arange(sis, dtype=np.uint64), len(tested))
+        splits = _generators((config.seed, 1, ji, ni, r, si), 0, config.B)
+    out: list[dict | None] = [None] * len(data)
+    validation = np.arange(n, 2 * n)
+    for i in tested:
+        b0, b1 = fits[i]
+        predicted = data[i].take(validation)
+        predicted = predicted.with_p(expit_array(b0 + b1 * predicted.x))
+        out[i] = _one_rep(config, n, predicted, splits)
+    return out
 
+
+def _one_rep(
+    config: SimulationConfig,
+    n: int,
+    predicted: SampleSet,
+    splits: Iterator[np.random.Generator] | None,
+) -> dict:
+    """The test results of one replication on its predicted validation
+    sample; its splits take their generators in order from splits, B for
+    each split fraction."""
     out: dict = {}
     if "hl" in config.variants:
         rep = hl_test(
             predicted, config.hl_method, config.hl_bins, config.estimated_in_sample
         )
         out[("hl", None)] = (rep.p_value <= config.alpha, None)
-    fit = "ehl" in config.variants
-    if not fit and "oracle" not in config.variants:
+    if splits is None:
         return out
-    if fit:
+    view = None
+    if "ehl" in config.variants:
         _require_interior(predicted)
+        view = _split_view(predicted)
     terms = None
     if "oracle" in config.variants:
         terms = _log_eq_terms(predicted.p, predicted.y, predicted.pi_bar)
-    for si, s in enumerate(config.s_values):
+    keys = []
+    rows = []
+    for s in config.s_values:
         # one draw of each split serves both e-values, so they stay paired
-        body = _split_log_e(predicted, s, fit, terms)
-        replicates = _replicates(
-            (config.seed, 1, ji, ni, r, si), config.B, body, n=n, pool=ThreadPoolExecutor
-        )
-        fitted, oracle = zip(*replicates)
+        body = _split_log_e(predicted, s, view, terms)
+        fitted, oracle = zip(*_runs(body, splits, 0, config.B, n))
         for variant, values in (("ehl", fitted), ("oracle", oracle)):
             if variant in config.variants:
-                log_e = logsumexp(values) - math.log(config.B)
-                out[(variant, s)] = (exp_clamped(log_e) > config.threshold, log_e)
+                keys.append((variant, s))
+                rows.append(values)
+    log_b = math.log(config.B)
+    for key, log_sum in zip(keys, _logsumexp_rows(np.array(rows, dtype=float))):
+        log_e = log_sum - log_b
+        out[key] = (exp_clamped(log_e) > config.threshold, log_e)
     return out
 
 

@@ -557,3 +557,41 @@ def bagged_reference(recal, n_bags, seed, points, grid_size=1001, band=(0.01, 0.
     for fit in smoothed:
         total += np.interp(points, fit.knots, fit.values)
     return grid, mean, q_low, q_high, total / len(fits), fits
+
+
+# Frozen copy of the Newton loop that fit_logistic_linear ran on one sample
+# before the power study fitted a run of replications in one loop; each row
+# of the batched loop is checked against it bit for bit.
+
+
+def logistic_fit_reference(x, y, max_iter=100, tol=1e-8):
+    """(intercept, slope) of the linear-logistic fit of y on x, or the
+    message of the FitError that the fit raises."""
+    y = np.asarray(y).astype(float)
+    if np.all(y == y[0]):
+        return "logistic fit requires both outcome classes"
+    if np.all(x == x[0]):
+        return "covariate x is constant; the slope is not identified"
+    b0 = 0.0
+    b1 = 0.0
+    for _ in range(max_iter):
+        z = b0 + b1 * x
+        mu = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))), 0.0)
+        neg = z < 0.0
+        t = np.exp(z[neg])
+        mu[neg] = t / (1.0 + t)
+        resid = y - mu
+        g0 = float(np.sum(resid))
+        g1 = float(np.sum(resid * x))
+        if max(abs(g0), abs(g1)) < tol:
+            return b0, b1
+        w = mu * (1.0 - mu)
+        h00 = float(np.sum(w))
+        h01 = float(np.sum(w * x))
+        h11 = float(np.sum(w * x * x))
+        det = h00 * h11 - h01 * h01
+        if not math.isfinite(det) or abs(det) < 1e-12 * max(h00 * h11, 1e-12):
+            return "singular information matrix in logistic fit"
+        b0 += (h11 * g0 - h01 * g1) / det
+        b1 += (h00 * g1 - h01 * g0) / det
+    return f"logistic fit did not converge in {max_iter} iterations"

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import os
 import subprocess
@@ -111,6 +113,23 @@ class TestEhlTest:
         rc = main(["ehl-test", "--input", str(f)])
         assert rc == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, where", [
+        (["id,p,y", "{long},0.5,1", "b,0.2,0"], "row 1"),
+        (["id,p,y", "a,0.5,1", "{long},0.2,0"], "row 2"),
+        (["p,y,{long}", "0.5,1,0"], "header"),
+    ])
+    def test_field_over_the_csv_size_limit_exits_2_without_a_traceback(
+        self, lines, where, tmp_path, capsys
+    ):
+        long = "x" * (csv.field_size_limit() + 1)
+        f = tmp_path / "long.csv"
+        f.write_text("\n".join(lines).format(long=long) + "\n")
+        rc = main(["ehl-test", "--input", str(f)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: field larger than field limit")
+        assert "Traceback" not in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["ehl-test", "--input", str(tmp_path / "nope.csv")])
@@ -445,6 +464,18 @@ class TestEntryPoints:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_every_option_has_help_text(self):
+        parsers = [("ehl", ehl.cli._parser())]
+        empty = []
+        while parsers:
+            command, parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers += action.choices.items()
+                elif not (action.help or "").strip():
+                    empty.append(f"{command} {action.option_strings[0]}")
+        assert empty == []
 
     @pytest.mark.parametrize("argv", [
         ["ehl-test", "--input", "in.csv", "--threshold", value] for value in ("nan", "inf", "0", "-1")

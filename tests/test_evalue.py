@@ -25,7 +25,7 @@ from ehl import (
 )
 import ehl.evalue
 import ehl.numeric
-from ehl.evalue import EXACT_N_LIMIT, _split_log_e
+from ehl.evalue import EXACT_N_LIMIT, _split_log_e, _split_view
 from ehl.isotonic import _WIDE, _PrefixBlocks, _pool_blocks
 from ehl.numeric import _replicates
 
@@ -674,7 +674,7 @@ class TestSplit:
 
         def draw(fit, terms):
             # one run of all B replicates, as _replicates hands it over
-            body = _split_log_e(ss, 1 / 3, fit, terms)
+            body = _split_log_e(ss, 1 / 3, _split_view(ss) if fit else None, terms)
             return body(0, [np.random.default_rng([*key, b]) for b in range(B)])
 
         fitted, oracle = zip(*draw(True, oracle_terms))
@@ -707,7 +707,7 @@ def _split_kinds(n, rng):
 
 def _engine(p, y, s, key, B, oracle_terms):
     samples = _samples(p, y)
-    body = _split_log_e(samples, s, True, oracle_terms)
+    body = _split_log_e(samples, s, _split_view(samples), oracle_terms)
     return _replicates(key, B, body, n=len(samples), pool=ThreadPoolExecutor)
 
 

@@ -25,7 +25,9 @@ from ehl.numeric import (
     _THREAD_MIN_N,
     _generators,
     _logaddexp,
+    _logsumexp_rows,
     _replicates,
+    _seed_states,
     _stable_order,
     _thread_spans,
     exp_clamped,
@@ -153,6 +155,30 @@ class TestLogSumExp:
     def test_degenerate(self):
         assert logsumexp([]) == -math.inf
         assert logsumexp([-math.inf, -math.inf]) == -math.inf
+
+    def test_rows_have_the_bits_of_the_one_dimensional_sum(self):
+        def reference(values):
+            # the body logsumexp ran on one array before it became the
+            # one-row call of _logsumexp_rows
+            m = float(np.max(values))
+            if m == -math.inf:
+                return -math.inf
+            if math.isinf(m):
+                return math.inf
+            return m + math.log(float(np.sum(np.exp(values - m))))
+
+        rng = np.random.default_rng(6)
+        inf = math.inf
+        for width in (1, 2, 7, 8, 9, 127, 128, 129, 700, 10001):
+            rows = rng.normal(scale=40.0, size=(6, width))
+            rows[1, 0] = -inf
+            rows[2] = -inf
+            rows[3, -1] = inf
+            rows[4, width // 2] = math.nan
+            got = _logsumexp_rows(rows)
+            want = [reference(row) for row in rows]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert [logsumexp(row).hex() for row in rows] == [v.hex() for v in want]
 
     def test_exp_clamped(self):
         assert exp_clamped(800.0) == math.inf
@@ -309,6 +335,52 @@ class TestBulkSeeding:
         rngs = list(_generators(key, lo, hi))
         assert len(rngs) == hi - lo
         assert _states_match(key)(lo, rngs) == [True] * (hi - lo)
+
+
+class TestArrayKeySeeding:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7])
+    def test_array_words_equal_seed_sequence_states(self, seed):
+        # the split keys (seed, 1, ji, ni, r, si) of a power-study run, b last
+        r = np.array([0, 1, 2**32 - 1, 7, 7, 0], dtype=np.uint64)
+        si = np.array([0, 2, 1, 0, 1, 2], dtype=np.uint64)
+        b = np.array([0, 3, 2**32 - 1, 9, 9, 1], dtype=np.uint64)
+        got = _seed_states((seed, 1, 0, 2, r, si, b))
+        for i, words in enumerate(got):
+            entropy = [seed, 1, 0, 2, int(r[i]), int(si[i]), int(b[i])]
+            want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert np.array_equal(words, want), entropy
+
+    @pytest.mark.parametrize("key", [(), (0,), (2**32 - 1,), (2**32,), (5, 2**32 - 1), (1, 2, 3)])
+    def test_short_keys_equal_seed_sequence_states(self, key):
+        # with b, fewer than five words: b is among the pool's first four
+        b = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
+        got = _seed_states((*key, b))
+        for words, bi in zip(got, b.tolist()):
+            want = np.random.SeedSequence([*key, bi]).generate_state(4, np.uint64)
+            assert np.array_equal(words, want)
+
+    def test_generators_of_array_keys_run_row_by_row(self):
+        # rows with an entry of 2^32 or more fall back to default_rng
+        r = np.array([4, 2**32 + 1, 0], dtype=np.uint64)
+        si = np.array([1, 0, 2], dtype=np.uint64)
+        lo, hi = 2**32 - 2, 2**32 + 1
+        got = list(_generators((9, 1, r, si), lo, hi))
+        want = [
+            np.random.default_rng([9, 1, int(ri), int(sii), b])
+            for ri, sii in zip(r.tolist(), si.tolist())
+            for b in range(lo, hi)
+        ]
+        assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
+
+    def test_generators_cross_seeding_blocks(self):
+        rows = _SEED_BLOCK // 3 + 2
+        r = np.arange(rows, dtype=np.uint64)
+        si = r % np.uint64(3)
+        got = list(_generators((2**40, r, si), 0, 4))
+        assert len(got) == 4 * rows > _SEED_BLOCK
+        for q, g in enumerate(got):
+            want = np.random.default_rng([2**40, q // 4, q // 4 % 3, q % 4])
+            assert g.bit_generator.state == want.bit_generator.state
 
 
 class TestThreadSpans:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import ehl.numeric
 import ehl.simulate
 from ehl import (
     FitError,
@@ -16,8 +17,10 @@ from ehl import (
     run_power_study,
     solve_quadratic_betas,
 )
-from ehl.numeric import expit, expit_array, logit
-from ehl.simulate import ANCHOR_OFFSET, ANCHOR_X
+from ehl.numeric import expit, expit_array, logit, logsumexp
+from ehl.simulate import ANCHOR_OFFSET, ANCHOR_X, _fit_logistic_rows
+
+from helpers import logistic_fit_reference, split_reference
 
 
 def _betas_by_elimination(j):
@@ -178,6 +181,70 @@ class TestLogisticFit:
         samples = LabeledSampleSet([0.5, 0.5], [0, 1])
         with pytest.raises(InputError):
             fit_logistic_linear(samples)
+
+
+def _fit_rows_corpus(m):
+    """(x, y) rows of length m that stop the Newton loop in every way: at
+    different steps, on one outcome class, on a constant or nearly constant
+    covariate, at the start point and on separated outcomes."""
+    rng = np.random.default_rng(m)
+    xs, ys = [], []
+    for bias in (-1.5, -0.5, 0.0, 0.5, 2.0):
+        for _ in range(3):
+            x = rng.uniform(-3.0, 3.0, m)
+            xs.append(x)
+            ys.append((rng.random(m) < expit_array(bias + 0.8 * x)).astype(int))
+    xs.append(rng.uniform(-3.0, 3.0, m))
+    ys.append(np.ones(m, int))
+    xs.append(np.full(m, 0.25))
+    ys.append(np.arange(m) % 2)
+    near = np.ones(m)
+    near[1] += 2.0**-52
+    xs.append(near)
+    ys.append((np.arange(m) % 3 > 0).astype(int))
+    xs.append(np.where(np.arange(m) % 2 == 0, -1.0, 1.0))
+    ys.append(np.arange(m) // 2 % 2)
+    xs.append(np.linspace(-2.0, 2.0, m))
+    ys.append((np.arange(m) >= m // 2).astype(int))
+    return np.array(xs), np.array(ys)
+
+
+class TestBatchedLogisticFit:
+    @pytest.mark.parametrize("m, max_iter", [(4, 100), (40, 7), (40, 100), (257, 100), (1024, 3)])
+    def test_rows_match_the_one_row_loop_bit_for_bit(self, m, max_iter):
+        x, y = _fit_rows_corpus(m)
+        fits = _fit_logistic_rows(x, y, max_iter)
+        for xi, yi, fit in zip(x, y, fits):
+            want = logistic_fit_reference(xi, yi, max_iter)
+            one = LabeledSampleSet(np.full(m, 0.5), yi, x=xi)
+            if isinstance(want, str):
+                assert isinstance(fit, FitError) and str(fit) == want
+                with pytest.raises(FitError, match=f"^{want}$"):
+                    fit_logistic_linear(one, max_iter)
+            else:
+                assert [v.hex() for v in fit] == [v.hex() for v in want]
+                assert fit_logistic_linear(one, max_iter) == fit
+
+    def test_a_mixed_run_fails_exactly_where_the_one_row_fit_raises(self):
+        x, y = _fit_rows_corpus(40)
+        fits = _fit_logistic_rows(x, y, 7)
+        failed = [isinstance(fit, FitError) for fit in fits]
+        raised = []
+        for xi, yi in zip(x, y):
+            try:
+                fit_logistic_linear(LabeledSampleSet(np.full(40, 0.5), yi, x=xi), 7)
+                raised.append(False)
+            except FitError:
+                raised.append(True)
+        assert failed == raised
+        # every way to stop is in the run, and so are fits at several steps
+        assert {str(fit) for fit in fits if isinstance(fit, FitError)} == {
+            "logistic fit requires both outcome classes",
+            "covariate x is constant; the slope is not identified",
+            "singular information matrix in logistic fit",
+            "logistic fit did not converge in 7 iterations",
+        }
+        assert failed.count(False) >= 10
 
 
 class TestConfig:
@@ -342,6 +409,61 @@ class TestPowerStudy:
         )
         assert len(report.cells) == 2
         assert {c.s for c in report.cells} == {0.25, 0.5}
+
+    def test_per_split_log_e_matches_the_per_replicate_reference(self, monkeypatch):
+        # every split of replication r at fraction index si is drawn from
+        # default_rng([seed, 1, ji, ni, r, si, b]), whatever run of
+        # replications it was seeded with
+        monkeypatch.setattr(ehl.numeric, "_RUN_CELLS", 256)
+        config = self._config(
+            j_values=(0.0, 0.1), n_values=(24, 64), s_values=(1 / 3, 0.5), reps=13, B=7,
+            seed=2**32 + 5,
+        )
+        seen = []
+        one_rep, runs = ehl.simulate._one_rep, ehl.simulate._runs
+
+        def spy_one_rep(config, n, predicted, splits):
+            seen.append((predicted, []))
+            return one_rep(config, n, predicted, splits)
+
+        def spy_runs(*args):
+            out = runs(*args)
+            seen[-1][1].append(out)
+            return out
+
+        monkeypatch.setattr(ehl.simulate, "_one_rep", spy_one_rep)
+        monkeypatch.setattr(ehl.simulate, "_runs", spy_runs)
+        report = run_power_study(config)
+        # each replication found again by its validation covariates
+        where = {}
+        for ji, j in enumerate(config.j_values):
+            model = solve_quadratic_betas(j)
+            for ni, n in enumerate(config.n_values):
+                for r in range(config.reps):
+                    rng = np.random.default_rng([config.seed, 0, ji, ni, r])
+                    data = generate_data(2 * n, model, rng)
+                    where[data.x[n:].tobytes()] = (ji, ni, r)
+        failures = sum(c.failures for c in report.cells if c.variant == "hl")
+        assert len(seen) == len(where) - failures
+        log_e = {}
+        for predicted, per_s in seen:
+            ji, ni, r = where[predicted.x.tobytes()]
+            p, y, pi = predicted.p, predicted.y, predicted.pi_bar
+            terms = np.where(y == 1, np.log(pi) - np.log(p), np.log1p(-pi) - np.log1p(-p))
+            assert len(per_s) == len(config.s_values)
+            for si, (s, got) in enumerate(zip(config.s_values, per_s)):
+                key = (config.seed, 1, ji, ni, r, si)
+                want = split_reference(p, y, s, key, config.B, terms)
+                for variant, column in (("ehl", 0), ("oracle", 1)):
+                    values = [split[column] for split in got]
+                    assert [v.hex() for v in values] == [w[column].hex() for w in want]
+                    log_e.setdefault((ji, ni, variant, s), []).append(
+                        logsumexp(values) - math.log(config.B)
+                    )
+        # and the cells are the means of those log e-values
+        for (ji, ni, variant, s), logs in log_e.items():
+            cell = report.cell(config.j_values[ji], config.n_values[ni], variant, s)
+            assert cell.mean_log_e == float(np.mean(logs))
 
     def test_oracle_tracks_feasible_on_shared_splits(self):
         # same replication, same split stream: the oracle uses the true
